@@ -336,6 +336,9 @@ BENCHMARK(BM_ConstrainedMine)
 // K = 100) at 1/2/4/N threads. Results are recorded in BENCH_threads.json;
 // run with --benchmark_filter=ThreadScaling to refresh them. Output is
 // bit-identical across thread counts, so these measure pure speedup.
+// The work runs on pool workers, not the benchmark thread, so every
+// threaded bench times wall clock (UseRealTime): main-thread CPU time
+// would shrink as workers take over and inflate the reported rates.
 
 void ThreadArgs(benchmark::internal::Benchmark* bench) {
   const int hardware = ResolveNumThreads(0);
@@ -369,6 +372,7 @@ void BM_ThreadScalingBallQueries(benchmark::State& state) {
                           static_cast<int64_t>(pool->size()));
 }
 BENCHMARK(BM_ThreadScalingBallQueries)->Apply(ThreadArgs)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // One full fusion iteration (seed draws + ball queries + fusions +
@@ -393,6 +397,7 @@ void BM_ThreadScalingFusionIteration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ThreadScalingFusionIteration)->Apply(ThreadArgs)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // Initial-pool mining (Apriori level counting sharded by join row).
@@ -405,6 +410,7 @@ void BM_ThreadScalingPoolBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ThreadScalingPoolBuild)->Apply(ThreadArgs)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // --- Service layer ----------------------------------------------------------
@@ -655,6 +661,7 @@ void BM_ShardedMineFanOut(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ShardedMineFanOut)->Arg(1)->Arg(2)->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_ShardedMineUnshardedReference(benchmark::State& state) {

@@ -25,19 +25,27 @@ std::vector<int64_t> BallQuery(const std::vector<Pattern>& pool,
   std::vector<int64_t> members;
   const bool keep_disjoint = 1.0 <= radius + kBallEpsilon;
   for (size_t i = 0; i < pool.size(); ++i) {
-    const Bitvector& other = pool[i].support_set;
-    // Disjoint support sets sit at distance 1 (or 0 when both are empty,
-    // by convention); AndNone's early exit makes this the common-case
-    // fast path on sparse pools like Diag, where most pairs share no
-    // transactions.
-    if (Bitvector::AndNone(other, center.support_set)) {
-      if (keep_disjoint ||
-          (other.None() && center.support_set.None())) {
+    const Pattern& other = pool[i];
+    // One popcount per pair: |D_α ∪ D_β| = |D_α| + |D_β| − |D_α ∩ D_β|
+    // from the supports the patterns already hold. On short support
+    // sets (one word on ALL-like data) each kernel call costs more
+    // than its word work, so the call count is what matters.
+    const int64_t common =
+        Bitvector::AndCount(other.support_set, center.support_set);
+    if (common == 0) {
+      // Disjoint support sets sit at distance 1 (or 0 when both are
+      // empty, by convention).
+      if (keep_disjoint || (other.support == 0 && center.support == 0)) {
         members.push_back(static_cast<int64_t>(i));
       }
       continue;
     }
-    if (PatternDistance(pool[i], center) <= radius + kBallEpsilon) {
+    const int64_t united = other.support + center.support - common;
+    // The same expression as Bitvector::JaccardDistance, so boundary
+    // cases round identically.
+    const double distance =
+        1.0 - static_cast<double>(common) / static_cast<double>(united);
+    if (distance <= radius + kBallEpsilon) {
       members.push_back(static_cast<int64_t>(i));
     }
   }

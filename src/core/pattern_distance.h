@@ -25,6 +25,9 @@ double BallRadius(double tau);
 // Indices of every pool pattern within `radius` of `center` (inclusive,
 // with a small epsilon so boundary cases like Diag's exact-2/3 distances
 // are kept). The center itself, if present in the pool, is included.
+// Distances use each pattern's held `support` as |D_α|, so every
+// pattern's support must equal the popcount of its support set (as
+// MakePattern, the miners, fusion and the shard stitch all set it).
 std::vector<int64_t> BallQuery(const std::vector<Pattern>& pool,
                                const Pattern& center, double radius);
 

@@ -91,23 +91,41 @@ FusionOutcome FuseOnce(const std::vector<Pattern>& pool,
   // shrinks, so it suffices to keep |D_R| ≥ τ·max merged support.
   int64_t max_merged_support = seed.support;
 
+  // Item bitmap of R, so |R ∩ β| costs O(|β|) bit tests instead of a
+  // merge-walk over R's items (which grow to ~100 on colossal data,
+  // against 1–2 items per initial-pool member). It covers R's largest
+  // item and grows on merge; an id past its end is not in R, so sparse
+  // ids cost nothing until they are merged.
+  std::vector<uint64_t> fused_bits;
+  const auto mark_fused = [&fused_bits](const Itemset& items) {
+    if (items.empty()) return;
+    const size_t words = items.items().back() / 64 + 1;
+    if (fused_bits.size() < words) fused_bits.resize(words, 0);
+    for (ItemId item : items) {
+      fused_bits[item / 64] |= uint64_t{1} << (item % 64);
+    }
+  };
+  mark_fused(seed.items);
+
   for (int64_t index : ball_order) {
     if (max_merges != 0 && outcome.merged_count >= max_merges) break;
     if (index == seed_index) continue;
     const Pattern& member = pool[static_cast<size_t>(index)];
-    if (member.items.IsSubsetOf(outcome.fused.items)) {
+    int common_items = 0;
+    for (ItemId item : member.items) {
+      const size_t word = item / 64;
+      common_items += word < fused_bits.size() &&
+                      ((fused_bits[word] >> (item % 64)) & 1) != 0;
+    }
+    if (common_items == member.size()) {
       // Already absorbed; merging would change nothing.
       continue;
     }
-    if (max_items != 0) {
-      // |R ∪ β| via inclusion–exclusion on the item lists — rejected
-      // before any support-set work, so an over-long merge costs no
-      // Bitvector traffic.
-      const int64_t union_items =
-          static_cast<int64_t>(outcome.fused.items.size()) +
-          static_cast<int64_t>(member.items.size()) -
-          IntersectionSize(outcome.fused.items, member.items);
-      if (union_items > max_items) continue;
+    // |R ∪ β| by inclusion–exclusion — rejected before any support-set
+    // work, so an over-long merge costs no Bitvector traffic.
+    if (max_items != 0 &&
+        outcome.fused.size() + member.size() - common_items > max_items) {
+      continue;
     }
     // Popcount the would-be intersection first; the merged support set
     // is only materialized (in place) once the merge is accepted.
@@ -121,6 +139,7 @@ FusionOutcome FuseOnce(const std::vector<Pattern>& pool,
     if (static_cast<double>(merged_support) < needed) continue;
 
     outcome.fused.items = Union(outcome.fused.items, member.items);
+    mark_fused(member.items);
     outcome.fused.support_set.AndWith(member.support_set);
     outcome.fused.support = merged_support;
     max_merged_support = std::max(max_merged_support, member.support);
@@ -190,6 +209,14 @@ StatusOr<PatternFusionResult> FusionEngine::Run(
       return Status::InvalidArgument(
           "initial pool pattern " + pattern.items.ToString() +
           " is infrequent (support " + std::to_string(pattern.support) + ")");
+    }
+    // BallQuery derives |D_α ∪ D_β| from the held supports.
+    if (pattern.support != pattern.support_set.Count()) {
+      return Status::InvalidArgument(
+          "initial pool pattern " + pattern.items.ToString() +
+          " has support " + std::to_string(pattern.support) +
+          " but its support set holds " +
+          std::to_string(pattern.support_set.Count()));
     }
   }
 

@@ -2,10 +2,8 @@
 #define COLOSSAL_CORE_PATTERN_POOL_H_
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
-#include "common/hash.h"
 #include "common/rng.h"
 #include "core/pattern.h"
 
@@ -23,7 +21,8 @@ class PatternPool {
   // Returns true iff inserted.
   bool Add(Pattern pattern);
 
-  // Bulk insert; returns the number actually added.
+  // Bulk insert; returns the number actually added. Sizes the pool and
+  // its index for every pattern up front.
   int64_t AddAll(std::vector<Pattern> patterns);
 
   int64_t size() const { return static_cast<int64_t>(patterns_.size()); }
@@ -34,7 +33,7 @@ class PatternPool {
   }
 
   bool Contains(const Itemset& items) const {
-    return index_.count(items) > 0;
+    return !slots_.empty() && slots_[FindSlot(items)] != kEmptySlot;
   }
 
   // Cardinality of the smallest / largest pattern; 0 on an empty pool.
@@ -47,8 +46,24 @@ class PatternPool {
   std::vector<int64_t> DrawSeeds(int64_t k, Rng& rng) const;
 
  private:
+  static constexpr int64_t kEmptySlot = -1;
+
+  // The slot holding the position of `items` if present, else the
+  // empty slot where it belongs. Requires a non-empty slot table.
+  size_t FindSlot(const Itemset& items) const;
+
+  // Grows the slot table (rehashing every position) so it can index
+  // `count` patterns at load factor ≤ 1/2.
+  void ReserveSlots(int64_t count);
+
   std::vector<Pattern> patterns_;
-  std::unordered_set<Itemset, ItemsetHash, ItemsetEq> index_;
+  // Dedup index: open addressing with linear probing over positions in
+  // patterns_ (kEmptySlot when free). Power-of-two sized and at most half
+  // full, so probes are short and always reach a free slot. Holding
+  // positions rather than itemset copies means an insert allocates
+  // nothing beyond the occasional table doubling, and a moved pool's
+  // index stays valid.
+  std::vector<int64_t> slots_;
 };
 
 }  // namespace colossal

@@ -2,16 +2,126 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/pattern_distance.h"
 #include "core/pattern_pool.h"
 #include "data/generators.h"
 
 namespace colossal {
 namespace {
+
+// --- Reference primitives -------------------------------------------------
+// The direct forms of the two fusion hot loops: FuseOnce's absorbed and
+// max-items checks as a merge-walk over the fused items (IsSubsetOf,
+// IntersectionSize), and BallQuery's distance as AndNone followed by
+// JaccardDistance (OrCount + AndCount). The production versions (item
+// bitmap; one AndCount plus held supports) must agree with them exactly.
+
+FusionOutcome ReferenceFuseOnce(const std::vector<Pattern>& pool,
+                                const std::vector<int64_t>& ball_order,
+                                int64_t seed_index, int64_t min_support_count,
+                                double tau, int max_merges, int max_items) {
+  const Pattern& seed = pool[static_cast<size_t>(seed_index)];
+  FusionOutcome outcome;
+  outcome.fused = seed;
+  outcome.merged_count = 1;
+  int64_t max_merged_support = seed.support;
+  for (int64_t index : ball_order) {
+    if (max_merges != 0 && outcome.merged_count >= max_merges) break;
+    if (index == seed_index) continue;
+    const Pattern& member = pool[static_cast<size_t>(index)];
+    if (member.items.IsSubsetOf(outcome.fused.items)) continue;
+    if (max_items != 0 &&
+        outcome.fused.size() + member.size() -
+                IntersectionSize(outcome.fused.items, member.items) >
+            max_items) {
+      continue;
+    }
+    const int64_t merged_support =
+        Bitvector::AndCount(outcome.fused.support_set, member.support_set);
+    if (merged_support < min_support_count) continue;
+    const double needed =
+        tau * static_cast<double>(
+                  std::max(max_merged_support, member.support)) -
+        1e-12;
+    if (static_cast<double>(merged_support) < needed) continue;
+    outcome.fused.items = Union(outcome.fused.items, member.items);
+    outcome.fused.support_set.AndWith(member.support_set);
+    outcome.fused.support = merged_support;
+    max_merged_support = std::max(max_merged_support, member.support);
+    ++outcome.merged_count;
+  }
+  return outcome;
+}
+
+std::vector<int64_t> ReferenceBallQuery(const std::vector<Pattern>& pool,
+                                        const Pattern& center,
+                                        double radius) {
+  constexpr double kEpsilon = 1e-9;
+  std::vector<int64_t> members;
+  for (size_t i = 0; i < pool.size(); ++i) {
+    const Bitvector& other = pool[i].support_set;
+    if (Bitvector::AndNone(other, center.support_set)) {
+      if (1.0 <= radius + kEpsilon ||
+          (other.None() && center.support_set.None())) {
+        members.push_back(static_cast<int64_t>(i));
+      }
+      continue;
+    }
+    if (Bitvector::JaccardDistance(other, center.support_set) <=
+        radius + kEpsilon) {
+      members.push_back(static_cast<int64_t>(i));
+    }
+  }
+  return members;
+}
+
+Pattern PatternOf(Itemset items, Bitvector support_set) {
+  Pattern pattern;
+  pattern.items = std::move(items);
+  pattern.support = support_set.Count();
+  pattern.support_set = std::move(support_set);
+  return pattern;
+}
+
+// A random pool of `size` patterns over `num_bits` transactions. Items
+// come from a sparse universe (ids past one bitmap word, up to 70000),
+// so the fused-item bitmap must grow; support sets are empty, all-set,
+// or random at densities from sparse to near-full, so merges both pass
+// and fail the frequency and τ-core tests.
+std::vector<Pattern> RandomPool(Rng& rng, int64_t num_bits, int size) {
+  static const std::vector<ItemId> kUniverse = {
+      0, 1, 2, 3, 5, 8, 13, 63, 64, 65, 127, 128, 700, 4095, 70000};
+  std::vector<Pattern> pool;
+  for (int p = 0; p < size; ++p) {
+    std::vector<ItemId> items;
+    const int64_t count = rng.UniformInt(1, 4);
+    for (int64_t i = 0; i < count; ++i) {
+      items.push_back(kUniverse[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(kUniverse.size()) - 1))]);
+    }
+    Bitvector support_set(num_bits);
+    const int64_t kind = rng.UniformInt(0, 7);
+    if (kind == 0) {
+      // empty support set
+    } else if (kind == 1) {
+      support_set = Bitvector::AllSet(num_bits);
+    } else {
+      const double density = kind == 2 ? 0.1 : 0.6 + 0.05 * kind;
+      for (int64_t bit = 0; bit < num_bits; ++bit) {
+        if (rng.Bernoulli(density)) support_set.Set(bit);
+      }
+    }
+    pool.push_back(PatternOf(Itemset::FromUnsorted(std::move(items)),
+                             std::move(support_set)));
+  }
+  return pool;
+}
 
 TEST(PatternPoolTest, DeduplicatesByItemset) {
   TransactionDatabase db = MakePaperFigure3();
@@ -46,6 +156,83 @@ TEST(PatternPoolTest, DrawSeedsAreDistinctAndClamped) {
   std::set<int64_t> unique(seeds.begin(), seeds.end());
   EXPECT_EQ(unique.size(), 3u);
   EXPECT_EQ(pool.DrawSeeds(100, rng).size(), 5u);
+}
+
+TEST(PatternPoolTest, DuplicateHeavyInsertsMatchSetReference) {
+  // Itemsets drawn from a small universe repeat constantly; the pool must
+  // keep exactly the distinct ones, in first-insertion order, with the
+  // first writer's pattern — through both Add and the pre-sized AddAll.
+  Rng rng(41);
+  PatternPool pool;
+  std::set<Itemset> reference;
+  std::vector<Itemset> first_seen;
+  auto random_pattern = [&rng](int64_t tag) {
+    std::vector<ItemId> items;
+    const int64_t count = rng.UniformInt(1, 3);
+    for (int64_t i = 0; i < count; ++i) {
+      items.push_back(static_cast<ItemId>(rng.UniformInt(0, 11) * 37));
+    }
+    Pattern pattern;
+    pattern.items = Itemset::FromUnsorted(std::move(items));
+    pattern.support = tag;  // identifies which insert won
+    return pattern;
+  };
+  std::vector<int64_t> winning_tag;
+  int64_t tag = 0;
+  for (int round = 0; round < 20; ++round) {
+    std::vector<Pattern> batch;
+    for (int i = 0; i < 100; ++i) batch.push_back(random_pattern(tag++));
+    int64_t expected_added = 0;
+    for (const Pattern& pattern : batch) {
+      if (reference.insert(pattern.items).second) {
+        first_seen.push_back(pattern.items);
+        winning_tag.push_back(pattern.support);
+        ++expected_added;
+      }
+    }
+    if (round % 2 == 0) {
+      EXPECT_EQ(pool.AddAll(std::move(batch)), expected_added);
+    } else {
+      for (Pattern& pattern : batch) pool.Add(std::move(pattern));
+    }
+    for (int i = 0; i < 50; ++i) {
+      Pattern probe = random_pattern(-1);
+      const bool fresh = reference.insert(probe.items).second;
+      EXPECT_EQ(pool.Add(probe), fresh) << probe.items.ToString();
+      if (fresh) {
+        first_seen.push_back(probe.items);
+        winning_tag.push_back(-1);
+      }
+    }
+  }
+  ASSERT_EQ(pool.size(), static_cast<int64_t>(reference.size()));
+  for (int64_t i = 0; i < pool.size(); ++i) {
+    EXPECT_EQ(pool.pattern(i).items, first_seen[static_cast<size_t>(i)]);
+    EXPECT_EQ(pool.pattern(i).support, winning_tag[static_cast<size_t>(i)]);
+    EXPECT_TRUE(pool.Contains(pool.pattern(i).items));
+  }
+  EXPECT_FALSE(pool.Contains(Itemset({1})));
+  EXPECT_FALSE(pool.Contains(Itemset()));
+}
+
+TEST(PatternPoolTest, ContainsAfterMoveAssignment) {
+  TransactionDatabase db = MakePaperFigure3();
+  PatternPool source;
+  for (ItemId item = 0; item < 5; ++item) {
+    source.Add(MakePattern(db, Itemset::Single(item)));
+  }
+  PatternPool pool;
+  EXPECT_FALSE(pool.Contains(Itemset({0})));
+  pool.Add(MakePattern(db, Itemset({0, 1})));
+  pool = std::move(source);
+  EXPECT_EQ(pool.size(), 5);
+  for (ItemId item = 0; item < 5; ++item) {
+    EXPECT_TRUE(pool.Contains(Itemset::Single(item)));
+  }
+  EXPECT_FALSE(pool.Contains(Itemset({0, 1})));
+  EXPECT_FALSE(pool.Add(MakePattern(db, Itemset({3}))));
+  EXPECT_TRUE(pool.Add(MakePattern(db, Itemset({0, 1}))));
+  EXPECT_TRUE(pool.Contains(Itemset({0, 1})));
 }
 
 // --- FuseOnce -------------------------------------------------------------
@@ -119,6 +306,152 @@ TEST(FuseOnceTest, ResultSatisfiesTauCoreInvariantForAllMerged) {
   }
 }
 
+// --- Production primitives vs. the references --------------------------------
+
+TEST(FusionPrimitivesDiffTest, FuseOnceMatchesReferenceOnRandomPools) {
+  const int64_t kBits[] = {1, 37, 64, 130};
+  const double kTaus[] = {0.25, 0.5, 0.75, 1.0};
+  const int kMaxMerges[] = {0, 2, 3, 16};
+  const int kMaxItems[] = {0, 2, 4, 7};
+  int64_t multi_merges = 0;
+  int64_t sparse_merges = 0;
+  int64_t capped = 0;
+  for (uint64_t trial = 0; trial < 400; ++trial) {
+    Rng rng(trial + 1);
+    std::vector<Pattern> pool = RandomPool(rng, kBits[trial % 4], 40);
+    std::vector<int64_t> order;
+    for (size_t i = 0; i < pool.size(); ++i) {
+      order.push_back(static_cast<int64_t>(i));
+    }
+    rng.Shuffle(order);
+    const int64_t seed_index =
+        rng.UniformInt(0, static_cast<int64_t>(pool.size()) - 1);
+    // 0 lets empty support sets merge; higher thresholds reject more.
+    const int64_t min_support = rng.UniformInt(0, 3);
+    const double tau = kTaus[rng.UniformInt(0, 3)];
+    const int max_merges = kMaxMerges[rng.UniformInt(0, 3)];
+    const int max_items = kMaxItems[rng.UniformInt(0, 3)];
+    const FusionOutcome want = ReferenceFuseOnce(
+        pool, order, seed_index, min_support, tau, max_merges, max_items);
+    const FusionOutcome got = FuseOnce(pool, order, seed_index, min_support,
+                                       tau, max_merges, nullptr, max_items);
+    ASSERT_EQ(got.fused, want.fused) << "trial " << trial;
+    ASSERT_EQ(got.merged_count, want.merged_count) << "trial " << trial;
+    multi_merges += want.merged_count >= 3;
+    sparse_merges += want.fused.items.Contains(70000) &&
+                     !pool[static_cast<size_t>(seed_index)].items.Contains(
+                         70000);
+    if (max_items != 0) {
+      capped += ReferenceFuseOnce(pool, order, seed_index, min_support, tau,
+                                  max_merges, 0)
+                    .fused.size() > max_items;
+    }
+  }
+  // The trials must reach the interesting branches, not just seed-only
+  // outcomes: several merges, a merged far-away item, a binding cap.
+  EXPECT_GT(multi_merges, 20);
+  EXPECT_GT(sparse_merges, 5);
+  EXPECT_GT(capped, 5);
+}
+
+TEST(FusionPrimitivesDiffTest, FuseOnceMatchesReferenceOnMinedBalls) {
+  LabeledDatabase labeled = MakeDiagPlus(16, 8);
+  StatusOr<std::vector<Pattern>> pool =
+      BuildInitialPool(labeled.db, labeled.min_support_count, 2);
+  ASSERT_TRUE(pool.ok());
+  Rng rng(5);
+  for (size_t seed = 0; seed < pool->size(); seed += 7) {
+    std::vector<int64_t> ball =
+        ReferenceBallQuery(*pool, (*pool)[seed], BallRadius(0.5));
+    rng.Shuffle(ball);
+    for (int max_merges : {0, 4}) {
+      for (int max_items : {0, 5}) {
+        const int64_t seed_index = static_cast<int64_t>(seed);
+        const FusionOutcome want =
+            ReferenceFuseOnce(*pool, ball, seed_index,
+                              labeled.min_support_count, 0.5, max_merges,
+                              max_items);
+        const FusionOutcome got =
+            FuseOnce(*pool, ball, seed_index, labeled.min_support_count, 0.5,
+                     max_merges, nullptr, max_items);
+        ASSERT_EQ(got.fused, want.fused) << "seed " << seed;
+        ASSERT_EQ(got.merged_count, want.merged_count) << "seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(FusionPrimitivesDiffTest, BallQueryMatchesReferenceOnRandomPools) {
+  const int64_t kBits[] = {1, 37, 64, 130};
+  const double kRadii[] = {0.0, BallRadius(0.9), 0.5, BallRadius(0.5),
+                           BallRadius(0.25), 1.0 - 1e-6, 1.0};
+  int64_t disjoint_kept = 0;
+  for (uint64_t trial = 0; trial < 300; ++trial) {
+    Rng rng(trial + 1000);
+    const int64_t num_bits = kBits[trial % 4];
+    const std::vector<Pattern> pool = RandomPool(rng, num_bits, 50);
+    // Centers: pool members (empty and all-set ones included) and
+    // off-pool empty / all-set support sets.
+    Pattern center;
+    switch (rng.UniformInt(0, 3)) {
+      case 0:
+        center = PatternOf(Itemset({9}), Bitvector(num_bits));
+        break;
+      case 1:
+        center = PatternOf(Itemset({9}), Bitvector::AllSet(num_bits));
+        break;
+      default:
+        center = pool[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(pool.size()) - 1))];
+    }
+    for (double radius : kRadii) {
+      const std::vector<int64_t> want =
+          ReferenceBallQuery(pool, center, radius);
+      ASSERT_EQ(BallQuery(pool, center, radius), want)
+          << "trial " << trial << " radius " << radius;
+      if (radius == 1.0 && center.support > 0) {
+        for (int64_t index : want) {
+          const Pattern& member = pool[static_cast<size_t>(index)];
+          disjoint_kept += member.support > 0 &&
+                           Bitvector::AndNone(member.support_set,
+                                              center.support_set);
+        }
+      }
+    }
+  }
+  EXPECT_GT(disjoint_kept, 10);
+}
+
+TEST(FusionPrimitivesDiffTest, BallQueryMatchesReferenceAtDiagBoundary) {
+  // Sliding 20-item windows over Diag_40: windows offset by 10 sit at
+  // distance exactly 2/3 = r(0.5), the boundary the epsilon must keep.
+  TransactionDatabase db = MakeDiag(40);
+  std::vector<Pattern> pool;
+  for (ItemId start = 0; start <= 20; ++start) {
+    std::vector<ItemId> items;
+    for (ItemId i = start; i < start + 20; ++i) items.push_back(i);
+    pool.push_back(MakePattern(db, Itemset::FromSorted(std::move(items))));
+  }
+  for (const Pattern& center : pool) {
+    const std::vector<int64_t> ball = BallQuery(pool, center, BallRadius(0.5));
+    EXPECT_EQ(ball, ReferenceBallQuery(pool, center, BallRadius(0.5)));
+  }
+  EXPECT_NEAR(PatternDistance(pool[0], pool[10]), 2.0 / 3.0, 1e-12);
+  const std::vector<int64_t> ball = BallQuery(pool, pool[0], BallRadius(0.5));
+  EXPECT_EQ(ball.back(), 10);
+
+  // At τ = 0.75 the boundary pair |∩| = 3, |∪| = 5 computes one ulp
+  // above r(0.75); only the epsilon keeps it.
+  const std::vector<Pattern> pair = {
+      PatternOf(Itemset({0}), Bitvector::FromIndices(8, {0, 1, 2, 3})),
+      PatternOf(Itemset({1}), Bitvector::FromIndices(8, {0, 1, 2, 4}))};
+  EXPECT_GT(PatternDistance(pair[0], pair[1]), BallRadius(0.75));
+  EXPECT_EQ(BallQuery(pair, pair[0], BallRadius(0.75)),
+            (std::vector<int64_t>{0, 1}));
+  EXPECT_EQ(ReferenceBallQuery(pair, pair[0], BallRadius(0.75)),
+            (std::vector<int64_t>{0, 1}));
+}
+
 // --- RunPatternFusion ------------------------------------------------------
 
 TEST(PatternFusionTest, ValidatesOptions) {
@@ -144,6 +477,20 @@ TEST(PatternFusionTest, RejectsInfrequentPoolPatterns) {
   std::vector<Pattern> pool = {MakePattern(db, Itemset({0, 1, 2, 3, 4}))};
   PatternFusionOptions options;
   options.min_support_count = 200;  // abcef has support 100
+  StatusOr<PatternFusionResult> result = RunPatternFusion(db, pool, options);
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(PatternFusionTest, RejectsSupportDisagreeingWithSupportSet) {
+  // Ball distances take |D_β| from the held support, so a pool pattern
+  // whose support is not its support set's popcount is refused up front.
+  TransactionDatabase db = MakePaperFigure3();
+  std::vector<Pattern> pool = {MakePattern(db, Itemset({0})),
+                               MakePattern(db, Itemset({1}))};
+  pool[1].support += 1;
+  PatternFusionOptions options;
+  options.min_support_count = 100;
   StatusOr<PatternFusionResult> result = RunPatternFusion(db, pool, options);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
