@@ -18,6 +18,7 @@ StatusOr<ColossalMinerOptions> CanonicalizeMinerOptionsForSize(
   }
   canonical.num_threads = 0;
   canonical.shard_parallelism = 0;
+  canonical.pool_miner = PoolMiner::kApriori;
   Status constraints_ok = CanonicalizeConstraints(&canonical.constraints);
   if (!constraints_ok.ok()) return constraints_ok;
   if (canonical.top_k < 0) {
@@ -95,21 +96,24 @@ StatusOr<ColossalMiningResult> FuseColossalFromPool(
 
 StatusOr<ColossalMiningResult> MineColossal(const TransactionDatabase& db,
                                             const ColossalMinerOptions& options,
-                                            Arena* arena) {
+                                            Arena* arena, RequestTrace* trace) {
   StatusOr<ColossalMinerOptions> canonical =
       CanonicalizeMinerOptions(db, options);
   if (!canonical.ok()) return canonical.status();
 
+  // Execution knobs (pool miner, thread count) come from the caller:
+  // canonicalization resets them.
+  PhaseTimer pool_timer(trace, TracePhase::kPoolMine);
   StatusOr<std::vector<Pattern>> pool = BuildInitialPool(
       db, canonical->min_support_count, canonical->initial_pool_max_size,
       options.pool_miner, options.num_threads, arena,
       canonical->constraints);
+  pool_timer.Stop();
   if (!pool.ok()) return pool.status();
 
-  // Execution options: canonical thresholds, the caller's thread count
-  // (a pure performance knob that canonicalization zeroes).
   ColossalMinerOptions exec = *canonical;
   exec.num_threads = options.num_threads;
+  PhaseTimer fusion_timer(trace, TracePhase::kFusion);
   return FuseColossalFromPool(db.num_transactions(), *std::move(pool), exec,
                               arena);
 }

@@ -9,6 +9,7 @@
 #include "core/pattern_fusion.h"
 #include "data/transaction_database.h"
 #include "mining/constraints.h"
+#include "obs/trace.h"
 
 namespace colossal {
 
@@ -33,7 +34,9 @@ struct ColossalMinerOptions {
   // this size (paper uses 2 or 3 depending on the dataset).
   int initial_pool_max_size = 3;
 
-  // Which complete miner builds the pool (identical output either way).
+  // Which complete miner builds the pool. Identical output either way,
+  // so like num_threads it is an execution knob that canonicalization
+  // resets (to kApriori).
   PoolMiner pool_miner = PoolMiner::kApriori;
 
   // Fusion parameters (see PatternFusionOptions).
@@ -97,8 +100,10 @@ struct ColossalMinerOptions {
 //   * a fractional sigma is resolved against `db` into the absolute
 //     min_support_count it denotes (then cleared), so sigma 0.5 and the
 //     matching --min-support collapse;
-//   * num_threads and shard_parallelism are zeroed, because both are
-//     pure performance knobs (output is bit-identical for any value);
+//   * num_threads and shard_parallelism are zeroed and pool_miner is
+//     reset to kApriori, because all three are pure execution knobs
+//     (output is bit-identical for any value); executing callers read
+//     the caller's values, never the canonical ones;
 //   * constraints are canonicalized (lists sorted/deduplicated, no-op
 //     bounds erased — see CanonicalizeConstraints), so equal
 //     constraints in any spelling collapse;
@@ -107,8 +112,10 @@ struct ColossalMinerOptions {
 //     bound caps initial_pool_max_size (patterns above the bound are
 //     never wanted, so the pool never mines them).
 // Fails on sigma > 1 or contradictory constraints (mirroring
-// MineColossal's validation).
-// MineColossal(db, Canonicalize...(db, o)) == MineColossal(db, o).
+// MineColossal's validation). Idempotent — canonicalizing canonical
+// options changes nothing — so the service can hand canonical options
+// (with its execution knobs set) to MineColossal, which canonicalizes
+// again. MineColossal(db, Canonicalize...(db, o)) == MineColossal(db, o).
 StatusOr<ColossalMinerOptions> CanonicalizeMinerOptions(
     const TransactionDatabase& db, const ColossalMinerOptions& options);
 
@@ -142,9 +149,14 @@ struct ColossalMiningResult {
 // as cache keys, and an execution-scoped pointer must never leak into
 // request identity. The returned patterns are always heap-backed;
 // output is byte-identical with or without an arena.
+//
+// `trace`, when given, receives the wall time of the two phases:
+// initial-pool mining (kPoolMine) and fusion (kFusion). The serving
+// layer passes its per-request trace, so a library caller gets the same
+// phase split the server reports. Output is byte-identical either way.
 StatusOr<ColossalMiningResult> MineColossal(
     const TransactionDatabase& db, const ColossalMinerOptions& options,
-    Arena* arena = nullptr);
+    Arena* arena = nullptr, RequestTrace* trace = nullptr);
 
 // The fusion half of MineColossal, split out so callers that build the
 // initial pool some other way — notably the sharded miner, which

@@ -300,6 +300,13 @@ StatusOr<PatternFusionResult> RunPatternFusion(
   return engine.Run(std::move(initial_pool));
 }
 
+StatusOr<MiningResult> MineWithPoolMiner(const TransactionDatabase& db,
+                                         PoolMiner miner,
+                                         const MinerOptions& options) {
+  return miner == PoolMiner::kApriori ? MineApriori(db, options)
+                                      : MineEclat(db, options);
+}
+
 StatusOr<std::vector<Pattern>> BuildInitialPool(
     const TransactionDatabase& db, int64_t min_support_count,
     int max_pattern_size, PoolMiner miner, int num_threads, Arena* arena,
@@ -313,9 +320,7 @@ StatusOr<std::vector<Pattern>> BuildInitialPool(
   miner_options.num_threads = num_threads;
   miner_options.arena = arena;
   miner_options.constraints = constraints;
-  StatusOr<MiningResult> mined = miner == PoolMiner::kApriori
-                                     ? MineApriori(db, miner_options)
-                                     : MineEclat(db, miner_options);
+  StatusOr<MiningResult> mined = MineWithPoolMiner(db, miner, miner_options);
   if (!mined.ok()) return mined.status();
   if (mined->patterns.empty()) {
     return Status::FailedPrecondition(

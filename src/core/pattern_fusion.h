@@ -174,6 +174,13 @@ enum class PoolMiner {
   kEclat,
 };
 
+// Runs the complete miner `miner` names: the one place a PoolMiner
+// picks MineApriori or MineEclat. BuildInitialPool and the sharded
+// miner's per-shard pool mining both call it.
+StatusOr<MiningResult> MineWithPoolMiner(const TransactionDatabase& db,
+                                         PoolMiner miner,
+                                         const MinerOptions& options);
+
 // Builds the initial pool (paper §2.3 phase 1): the complete set of
 // frequent patterns of size ≤ max_pattern_size, with support sets
 // materialized, in (size, lexicographic) order regardless of the miner.

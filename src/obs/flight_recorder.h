@@ -41,7 +41,8 @@ struct FlightRecord {
   // High-water mark over this request's own mining arenas.
   int64_t arena_peak_bytes = 0;
   int32_t shards = 0;             // 0 = unsharded
-  int32_t shard_parallelism = 0;  // resolved fan-out knob (0 = auto)
+  // Fan-out the sharded miner used; 0 = unsharded.
+  int32_t shard_parallelism = 0;
   char transport[8] = {};         // "tcp" | "http" | "stdin" | "batch" ...
   char source[12] = {};           // mined | cache | coalesced | failed
   char status[20] = {};           // StatusCodeName, "OK" on success

@@ -17,7 +17,7 @@ namespace colossal {
 // per-phase latency histograms the tracing layer (obs/trace.h) feeds.
 // One renderer turns the whole registry into Prometheus-style text
 // exposition — what the `metrics` control word returns over both the
-// daemon and TCP framings, and what a future HTTP adapter would serve at
+// daemon and TCP framings, and what the HTTP front end serves at
 // /metrics — and the legacy `stats` line is re-rendered from the same
 // values, so the two views can never disagree.
 //
@@ -55,12 +55,6 @@ class Gauge {
     }
   }
   int64_t value() const { return value_.load(std::memory_order_relaxed); }
-
-  // The underlying cell, for callers that already speak
-  // std::atomic<int64_t> (RaiseArenaPeak, ShardResidencyOptions'
-  // arena-peak sink) — the gauge IS the counter they update, not a
-  // mirror that could drift.
-  std::atomic<int64_t>& cell() { return value_; }
 
  private:
   std::atomic<int64_t> value_{0};

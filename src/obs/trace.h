@@ -15,7 +15,10 @@ namespace colossal {
 // nonzero phases into the registry's colossal_phase_*_seconds
 // histograms when the request completes.
 //
-// Phases follow the request through the stack. For sharded requests
+// Phases follow the request through the stack. The mining phases are
+// timed by the core itself (MineColossal, ShardedMiner::Mine), so a
+// library caller passing a RequestTrace gets the server's phase split.
+// For sharded requests
 // kRegistry accumulates GetPinned/admission time from inside the
 // phase-1 loader threads, concurrently with the kPoolMine wall span
 // that contains them — phase times are where the work happened, not a
@@ -61,9 +64,10 @@ struct RequestTrace {
   std::atomic<int64_t> phase_nanos[kNumTracePhases] = {};
 
   // Non-phase per-request observables, filled by whichever layer knows
-  // them (registry admission, RunMine) and read back by the flight
-  // recorder when the request completes. Atomic for the same reason the
-  // phase accumulators are: shard loader threads report concurrently.
+  // them (registry admission, the request and shard arenas, the sharded
+  // miner's resolved fan-out) and read back by the flight recorder when
+  // the request completes. Atomic for the same reason the phase
+  // accumulators are: shard jobs report concurrently.
   std::atomic<int64_t> admission_wait_nanos{0};
   std::atomic<int64_t> arena_peak_bytes{0};
   std::atomic<int32_t> shard_parallelism{0};

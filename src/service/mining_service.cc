@@ -1,5 +1,6 @@
 #include "service/mining_service.h"
 
+#include <atomic>
 #include <chrono>
 #include <exception>
 #include <utility>
@@ -8,7 +9,6 @@
 #include "common/bitvector_kernels.h"
 #include "common/hash.h"
 #include "common/stopwatch.h"
-#include "core/pattern_fusion.h"
 
 namespace colossal {
 
@@ -29,9 +29,9 @@ namespace {
 constexpr double kSlowLogBurst = 10.0;
 constexpr double kSlowLogPerSecond = 10.0;
 
-// Publishes an arena's high-water mark into a service counter on scope
-// exit, so every RunMine return path (success, Status, early bail)
-// still records what the request's arena actually reached.
+// Raises a request trace's arena peak from an arena's high-water mark
+// on scope exit, so every RunMine return path (success, Status, early
+// bail) still records what the request's arena actually reached.
 class ArenaPeakRecorder {
  public:
   ArenaPeakRecorder(std::atomic<int64_t>* sink, const Arena* arena)
@@ -282,6 +282,7 @@ MiningService::Prepared MiningService::Prepare(const MineRequest& request,
     is_manifest = registry_.SniffIsManifest(request.dataset_path);
   }
 
+  int64_t rows = 0;
   if (!is_manifest) {
     if (request.shards_requested) {
       prep.status = Status::InvalidArgument(
@@ -301,48 +302,39 @@ MiningService::Prepared MiningService::Prepare(const MineRequest& request,
     prep.registry_hit = prep.handle.registry_hit;
     prep.fingerprint = prep.handle.fingerprint;
     prep.admission_bytes = prep.handle.db->ApproxMemoryBytes();
-    PhaseTimer parse_timer(trace, TracePhase::kParse);
-    StatusOr<CanonicalRequest> canonical =
-        CanonicalizeRequest(*prep.handle.db, request.options);
-    parse_timer.Stop();
-    if (!canonical.ok()) {
-      prep.status = canonical.status();
+    rows = prep.handle.db->num_transactions();
+  } else {
+    prep.sharded = true;
+    prep.shard_mode = request.shard_mode;
+    StatusOr<ShardManifestHandle> handle = [&] {
+      PhaseTimer timer(trace, TracePhase::kRegistry);
+      return registry_.GetManifest(request.dataset_path);
+    }();
+    if (!handle.ok()) {
+      prep.status = handle.status();
       return prep;
     }
-    prep.canonical = *std::move(canonical);
-    prep.key = ResultCacheKey{prep.fingerprint, prep.canonical.options_hash};
-    if (!keep_dataset) prep.handle.db.reset();
-    return prep;
+    prep.manifest = std::move(handle->manifest);
+    prep.registry_hit = handle->registry_hit;
+    prep.fingerprint = prep.manifest->parent_fingerprint;
+    // The whole dataset's estimated footprint, not one shard's: the
+    // admission gate bounds the work a request represents, while the
+    // residency governor separately bounds how much of it is ever
+    // resident at once.
+    for (const ShardInfo& shard : prep.manifest->shards) {
+      prep.admission_bytes +=
+          EstimateShardResidentBytes(shard, prep.manifest->num_items);
+    }
+    rows = prep.manifest->num_transactions;
   }
 
-  prep.sharded = true;
-  prep.shard_mode = request.shard_mode;
-  StatusOr<ShardManifestHandle> handle = [&] {
-    PhaseTimer timer(trace, TracePhase::kRegistry);
-    return registry_.GetManifest(request.dataset_path);
-  }();
-  if (!handle.ok()) {
-    prep.status = handle.status();
-    return prep;
-  }
-  prep.manifest = std::move(handle->manifest);
-  prep.registry_hit = handle->registry_hit;
-  prep.fingerprint = prep.manifest->parent_fingerprint;
-  // The whole dataset's estimated footprint, not one shard's: the
-  // admission gate bounds the work a request represents, while the
-  // residency governor separately bounds how much of it is ever
-  // resident at once.
-  for (const ShardInfo& shard : prep.manifest->shards) {
-    prep.admission_bytes +=
-        EstimateShardResidentBytes(shard, prep.manifest->num_items);
-  }
-  PhaseTimer parse_timer(trace, TracePhase::kParse);
   // Request identity — including the fuse-mode salt that keeps
   // approximate results from ever answering an exact request — is owned
   // entirely by the request model; the service just asks for it.
+  PhaseTimer parse_timer(trace, TracePhase::kParse);
   StatusOr<CanonicalRequest> canonical = CanonicalizeRequestForSize(
-      prep.manifest->num_transactions, request.options,
-      prep.shard_mode == ShardMergeMode::kFuse);
+      rows, request.options,
+      prep.sharded && prep.shard_mode == ShardMergeMode::kFuse);
   parse_timer.Stop();
   if (!canonical.ok()) {
     prep.status = canonical.status();
@@ -350,36 +342,32 @@ MiningService::Prepared MiningService::Prepare(const MineRequest& request,
   }
   prep.canonical = *std::move(canonical);
   prep.key = ResultCacheKey{prep.fingerprint, prep.canonical.options_hash};
+  if (!keep_dataset) prep.handle.db.reset();
   return prep;
 }
 
 StatusOr<ColossalMiningResult> MiningService::RunMine(
-    const MineRequest& request, const Prepared& prep, RequestTrace* trace,
-    std::atomic<int64_t>* arena_peak) {
-  // Execution options: canonical, except the thread count and shard
-  // parallelism — pure performance knobs with bit-identical output —
-  // which are taken from the request (falling back to the service's
-  // per-job defaults).
+    const MineRequest& request, const Prepared& prep, RequestTrace* trace) {
+  // Execution options: canonical, except the execution knobs — pool
+  // miner, thread count and shard parallelism, which canonicalization
+  // resets because output is bit-identical for any value — taken from
+  // the request (falling back to the service's per-job defaults).
   ColossalMinerOptions exec = prep.canonical.options;
+  exec.pool_miner = request.options.pool_miner;
   exec.num_threads = request.options.num_threads != 0
                          ? request.options.num_threads
                          : options_.mining_threads;
   exec.shard_parallelism = request.options.shard_parallelism != 0
                                ? request.options.shard_parallelism
                                : options_.shard_parallelism;
-  if (trace != nullptr && prep.sharded) {
-    trace->shard_parallelism.store(exec.shard_parallelism,
-                                   std::memory_order_relaxed);
-  }
   // One arena per request: every mining temporary this request
-  // allocates frees when the arena goes out of scope, and its
-  // high-water mark feeds the stats line's arena_peak_mb. Results are
-  // detached onto the heap inside FuseColossalFromPool, so the cached
-  // shared_ptr never references this arena. The peak lands in the
-  // caller's per-request sink; RunMineNoThrow folds it into the global
-  // gauge and the request's flight record.
+  // allocates frees when the arena goes out of scope. The core detaches
+  // results onto the heap before returning them, so the cached
+  // shared_ptr never references this arena. Its peak lands in the
+  // request's trace next to the shard arenas' peaks; RunMineNoThrow
+  // folds that into the global gauge.
   Arena request_arena;
-  ArenaPeakRecorder record_peak(arena_peak, &request_arena);
+  ArenaPeakRecorder record_peak(&trace->arena_peak_bytes, &request_arena);
   if (!prep.sharded) {
     std::shared_ptr<const TransactionDatabase> db = prep.handle.db;
     if (db == nullptr) {
@@ -398,24 +386,7 @@ StatusOr<ColossalMiningResult> MiningService::RunMine(
       }
       db = fresh->db;
     }
-    // MineColossal's two halves called directly (same arguments, same
-    // order, so output is byte-identical to the one-call form) with a
-    // phase timer around each: initial pool mining vs. fusion.
-    StatusOr<ColossalMinerOptions> canonical =
-        CanonicalizeMinerOptions(*db, exec);
-    if (!canonical.ok()) return canonical.status();
-    PhaseTimer pool_timer(trace, TracePhase::kPoolMine);
-    StatusOr<std::vector<Pattern>> pool = BuildInitialPool(
-        *db, canonical->min_support_count, canonical->initial_pool_max_size,
-        exec.pool_miner, exec.num_threads, &request_arena,
-        canonical->constraints);
-    pool_timer.Stop();
-    if (!pool.ok()) return pool.status();
-    ColossalMinerOptions fuse_exec = *canonical;
-    fuse_exec.num_threads = exec.num_threads;
-    PhaseTimer fusion_timer(trace, TracePhase::kFusion);
-    return FuseColossalFromPool(db->num_transactions(), *std::move(pool),
-                                fuse_exec, &request_arena);
+    return MineColossal(*db, exec, &request_arena, trace);
   }
   // Shards load through the registry's concurrent-admission API:
   // GetPinned reserves the estimate before reading, so however many
@@ -424,7 +395,6 @@ StatusOr<ColossalMiningResult> MiningService::RunMine(
   // when the shard job drops it.
   ShardResidencyOptions residency;
   residency.budget_bytes = options_.registry.memory_budget_bytes;
-  residency.arena_peak_bytes = arena_peak;
   residency.trace = trace;
   ShardedMiner miner(
       *prep.manifest,
@@ -448,26 +418,20 @@ StatusOr<ColossalMiningResult> MiningService::RunMine(
 
 StatusOr<ColossalMiningResult> MiningService::RunMineNoThrow(
     const MineRequest& request, const Prepared& prep, RequestTrace* trace) {
-  // Per-request arena-peak sink: RunMine's arenas (and the sharded
-  // fan-out's) raise it, and it folds into the process-wide gauge here
-  // so arena_peak_mb still reports the global high-water mark while the
-  // flight record gets this request's own.
-  std::atomic<int64_t> arena_peak{0};
   StatusOr<ColossalMiningResult> mined =
       [&]() -> StatusOr<ColossalMiningResult> {
     try {
-      return RunMine(request, prep, trace, &arena_peak);
+      return RunMine(request, prep, trace);
     } catch (const std::exception& e) {
       return Status::Internal(std::string("mining threw: ") + e.what());
     } catch (...) {
       return Status::Internal("mining threw a non-standard exception");
     }
   }();
-  const int64_t peak = arena_peak.load(std::memory_order_relaxed);
-  RaiseArenaPeak(arena_peak_gauge_->cell(), peak);
-  if (trace != nullptr && peak > 0) {
-    trace->arena_peak_bytes.store(peak, std::memory_order_relaxed);
-  }
+  // The trace holds this request's own arena peak (the flight record
+  // reads it); the gauge keeps the lifetime max over all requests.
+  arena_peak_gauge_->RaiseTo(
+      trace->arena_peak_bytes.load(std::memory_order_relaxed));
   return mined;
 }
 

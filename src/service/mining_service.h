@@ -1,7 +1,6 @@
 #ifndef COLOSSAL_SERVICE_MINING_SERVICE_H_
 #define COLOSSAL_SERVICE_MINING_SERVICE_H_
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -249,14 +248,13 @@ class MiningService {
   MiningResponse Execute(const MineRequest& request, const Prepared& prep,
                          RequestTrace* trace);
 
-  // The mine itself, with canonical options and the request's thread
-  // count resolved. `arena_peak` collects this request's own arena
-  // high-water marks (per-request arena plus every shard arena);
-  // RunMineNoThrow folds it into the global gauge and the trace.
+  // The mine itself: one MineColossal or ShardedMiner::Mine call with
+  // the canonical options and the request's execution knobs. The core
+  // times its own phases into `trace` (never null here); the request
+  // arena and the core's shard arenas raise trace->arena_peak_bytes.
   StatusOr<ColossalMiningResult> RunMine(const MineRequest& request,
                                          const Prepared& prep,
-                                         RequestTrace* trace,
-                                         std::atomic<int64_t>* arena_peak);
+                                         RequestTrace* trace);
 
   // RunMine with escaping exceptions (bad_alloc in a deep mining
   // allocation, say) converted to an Internal Status. Execute's runner

@@ -48,8 +48,8 @@ struct CanonicalRequest {
 
 // Stable content hash over the result-affecting option fields. Operates
 // on already-canonical options (call through CanonicalizeRequest);
-// num_threads and sigma are hashed too, which is harmless because
-// canonicalization has zeroed/resolved them.
+// num_threads, pool_miner and sigma are hashed too, which is harmless
+// because canonicalization has reset/resolved them.
 //
 // Versioning: the legacy fields hash exactly as they always have, and
 // the mode extensions (top_k, constraints) fold in — under a version
@@ -64,8 +64,8 @@ uint64_t HashMinerOptions(const ColossalMinerOptions& options);
 // (see CanonicalizeMinerOptionsForSize — canonicalization depends on
 // the dataset only through |D|) and hashes the result. Equivalent
 // requests — sigma vs. the absolute support it denotes, any
-// num_threads/shard_parallelism, constraint lists in any order —
-// collapse to one CanonicalRequest.
+// num_threads/shard_parallelism/pool_miner, constraint lists in any
+// order — collapse to one CanonicalRequest.
 //
 // `fuse_mode` marks the sharded miner's approximate kFuse merge: it
 // folds a salt into options_hash so an approximate result can never be

@@ -15,8 +15,6 @@
 #include "common/thread_pool.h"
 #include "core/pattern.h"
 #include "data/snapshot_io.h"
-#include "mining/apriori.h"
-#include "mining/eclat.h"
 #include "mining/miner.h"
 
 namespace colossal {
@@ -36,10 +34,12 @@ Bitvector ShardSupportSet(const TransactionDatabase& shard,
   return shard.SupportSet(items, arena);
 }
 
-// CAS-max a finished arena's high-water mark into the residency
-// options' stat sink (when one is wired).
-void RecordArenaPeak(std::atomic<int64_t>* sink, const Arena& arena) {
-  if (sink != nullptr) RaiseArenaPeak(*sink, arena.high_water_bytes());
+// CAS-max a finished arena's high-water mark into the request's trace
+// (when one is wired).
+void RecordArenaPeak(RequestTrace* trace, const Arena& arena) {
+  if (trace != nullptr) {
+    RaiseArenaPeak(trace->arena_peak_bytes, arena.high_water_bytes());
+  }
 }
 
 // Whether `path` starts with the snapshot magic (one 8-byte read — the
@@ -279,6 +279,10 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
                             : resident + scratch);
   }
   const int fan_out = ResolveFanOut(options, estimates);
+  if (residency_.trace != nullptr) {
+    residency_.trace->shard_parallelism.store(fan_out,
+                                              std::memory_order_relaxed);
+  }
   auto mine_shard = [&](int64_t index) -> StatusOr<std::vector<Itemset>> {
     const size_t i = static_cast<size_t>(index);
     StatusOr<LoadedShard> shard = LoadShard(i, estimates[i]);
@@ -306,9 +310,7 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
       // exactly as in the unsharded BuildInitialPool path.
       miner_options.constraints = canonical->constraints;
       StatusOr<MiningResult> mined =
-          canonical->pool_miner == PoolMiner::kApriori
-              ? MineApriori(*shard->db, miner_options)
-              : MineEclat(*shard->db, miner_options);
+          MineWithPoolMiner(*shard->db, options.pool_miner, miner_options);
       if (!mined.ok()) return mined.status();
       mined_items.reserve(mined->patterns.size());
       for (const FrequentItemset& pattern : mined->patterns) {
@@ -316,11 +318,13 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
       }
     } else {
       // Approximate fusion: each shard's colossal patterns are the core
-      // patterns the cross-shard fusion will draw from.
+      // patterns the cross-shard fusion will draw from. No trace: the
+      // kPoolMine wall span above already covers these shard mines.
       ColossalMinerOptions local = *canonical;
       local.sigma = -1.0;
       local.min_support_count = local_min;
       local.num_threads = options.num_threads;
+      local.pool_miner = options.pool_miner;
       // Result shaping (top-k truncation, min_len filtering) applies
       // once, at the final cross-shard fusion — a per-shard cut would
       // drop the small core patterns the global fusion builds from.
@@ -336,7 +340,7 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
         mined_items.push_back(pattern.items);
       }
     }
-    RecordArenaPeak(residency_.arena_peak_bytes, shard_arena);
+    RecordArenaPeak(residency_.trace, shard_arena);
     return mined_items;
   };
   std::unordered_set<Itemset, ItemsetHash, ItemsetEq> seen;
@@ -440,7 +444,7 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
                 });
     recount_scratch.Reset();
   }
-  RecordArenaPeak(residency_.arena_peak_bytes, recount_scratch);
+  RecordArenaPeak(residency_.trace, recount_scratch);
 
   // Phase 3 — keep the globally frequent candidates and order them the
   // way the level-wise miners enumerate (size, then lexicographic), so

@@ -1,7 +1,6 @@
 #ifndef COLOSSAL_SHARD_SHARDED_MINER_H_
 #define COLOSSAL_SHARD_SHARDED_MINER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -140,20 +139,17 @@ using ShardLoader = std::function<StatusOr<LoadedShard>(
 struct ShardResidencyOptions {
   int64_t budget_bytes = 0;
 
-  // Optional sink for arena high-water marks: every per-shard mining
-  // arena and the re-count scratch arena CAS-max their peaks into it
-  // (RaiseArenaPeak). The service points this at its arena_peak_bytes
-  // counter so sharded mines show up in the stats line's arena_peak_mb.
-  std::atomic<int64_t>* arena_peak_bytes = nullptr;
-
   // Optional per-request trace: the miner accumulates phase-1 mining
   // wall time into kPoolMine, the re-count + candidate filter into
-  // kStitch, and the final fusion into kFusion. Registry/admission time
-  // inside the loader is the *loader's* to attribute (the service times
-  // it as kRegistry from inside its loader lambda), so for a parallel
-  // fan-out it overlaps the kPoolMine wall span rather than being
-  // subtracted from it. Purely observational: mining output is
-  // byte-identical with or without a trace.
+  // kStitch, and the final fusion into kFusion; it stores the phase-1
+  // fan-out it resolved into shard_parallelism, and CAS-maxes every
+  // per-shard mining arena and the re-count scratch arena into
+  // arena_peak_bytes. Registry/admission time inside the loader is the
+  // *loader's* to attribute (the service times it as kRegistry from
+  // inside its loader lambda), so for a parallel fan-out it overlaps the
+  // kPoolMine wall span rather than being subtracted from it. Purely
+  // observational: mining output is byte-identical with or without a
+  // trace.
   RequestTrace* trace = nullptr;
 };
 
@@ -168,8 +164,8 @@ class ShardedMiner {
 
   // Mines the sharded dataset. `options` is interpreted exactly as
   // MineColossal interprets it (sigma resolved against the manifest's
-  // transaction count; num_threads and shard_parallelism are pure
-  // performance knobs).
+  // transaction count; num_threads, shard_parallelism and pool_miner are
+  // pure execution knobs, read from `options` as given).
   //
   // `arena`, when given, backs the cross-shard phases (the stitched
   // global support sets and fusion scratch) exactly as MineColossal's

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/arena.h"
 #include "data/generators.h"
 
 namespace colossal {
@@ -161,6 +162,32 @@ TEST(ColossalMinerTest, PoolMinerChoiceGivesIdenticalResults) {
       if (pattern.items == labeled.planted[0]) found = true;
     }
     EXPECT_TRUE(found);
+  }
+}
+
+TEST(ColossalMinerTest, TimesItsOwnPhasesIntoATrace) {
+  // The core times its two phases itself, so a library caller passing a
+  // RequestTrace gets the server's phase split; an unsharded mine never
+  // stitches. Output is the same with or without the trace.
+  LabeledDatabase labeled = MakeDiagPlus(20, 10);
+  ColossalMinerOptions options;
+  options.min_support_count = labeled.min_support_count;
+  options.initial_pool_max_size = 2;
+  options.k = 30;
+  Arena arena;
+  RequestTrace trace;
+  StatusOr<ColossalMiningResult> traced =
+      MineColossal(labeled.db, options, &arena, &trace);
+  ASSERT_TRUE(traced.ok()) << traced.status().ToString();
+  EXPECT_GT(trace.nanos(TracePhase::kPoolMine), 0);
+  EXPECT_GT(trace.nanos(TracePhase::kFusion), 0);
+  EXPECT_EQ(trace.nanos(TracePhase::kStitch), 0);
+
+  StatusOr<ColossalMiningResult> untraced = MineColossal(labeled.db, options);
+  ASSERT_TRUE(untraced.ok());
+  ASSERT_EQ(traced->patterns.size(), untraced->patterns.size());
+  for (size_t i = 0; i < traced->patterns.size(); ++i) {
+    EXPECT_TRUE(traced->patterns[i] == untraced->patterns[i]) << i;
   }
 }
 

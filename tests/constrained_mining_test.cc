@@ -320,16 +320,16 @@ TEST_F(ConstrainedMiningTest, ShardedConstraintPushdownSkipsExcludedItems) {
     constrained.constraints.include.push_back(item);
   }
 
-  std::atomic<int64_t> full_peak{0};
-  std::atomic<int64_t> pruned_peak{0};
+  RequestTrace full_trace;
+  RequestTrace pruned_trace;
   ShardResidencyOptions residency;
-  residency.arena_peak_bytes = &full_peak;
+  residency.trace = &full_trace;
   ShardedMiner full(*manifest, DiskLoader(), residency);
   StatusOr<ColossalMiningResult> all =
       full.Mine(unconstrained, ShardMergeMode::kExact);
   ASSERT_TRUE(all.ok()) << all.status().ToString();
 
-  residency.arena_peak_bytes = &pruned_peak;
+  residency.trace = &pruned_trace;
   ShardedMiner pruned(*manifest, DiskLoader(), residency);
   StatusOr<ColossalMiningResult> some =
       pruned.Mine(constrained, ShardMergeMode::kExact);
@@ -342,6 +342,8 @@ TEST_F(ConstrainedMiningTest, ShardedConstraintPushdownSkipsExcludedItems) {
   }
   // The Diag vocabulary dominates the unconstrained pool's scratch, so
   // skipping it must show in the shards' peak arena bytes.
+  const std::atomic<int64_t>& full_peak = full_trace.arena_peak_bytes;
+  const std::atomic<int64_t>& pruned_peak = pruned_trace.arena_peak_bytes;
   EXPECT_LT(pruned_peak.load(), full_peak.load());
   EXPECT_GT(pruned_peak.load(), 0);
 }

@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <limits>
@@ -20,7 +21,9 @@
 #include "mining/result_io.h"
 #include "service/admission.h"
 #include "service/dataset_registry.h"
+#include "service/dispatch.h"
 #include "service/result_cache.h"
+#include "shard/shard_planner.h"
 
 namespace colossal {
 namespace {
@@ -37,6 +40,14 @@ class MiningServiceTest : public ::testing::Test {
     ASSERT_TRUE(WriteFimiFile(*db_, *fimi_path_).ok());
     ASSERT_TRUE(WriteSnapshotFile(*db_, *snap_path_).ok());
     ASSERT_TRUE(WriteFimiFile(MakeDiag(12), *other_path_).ok());
+    ShardPlanOptions plan_options;
+    plan_options.num_shards = 3;
+    StatusOr<std::vector<ShardRange>> plan = PlanShards(*db_, plan_options);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    StatusOr<ShardWriteResult> written =
+        WriteShardedSnapshots(*db_, *plan, dir, "service_test_a3");
+    ASSERT_TRUE(written.ok()) << written.status().ToString();
+    manifest_path_ = new std::string(written->manifest_path);
   }
 
   static MineRequest BasicRequest() {
@@ -52,12 +63,14 @@ class MiningServiceTest : public ::testing::Test {
   static std::string* fimi_path_;
   static std::string* other_path_;
   static std::string* snap_path_;
+  static std::string* manifest_path_;  // db_ cut into 3 shards
   static TransactionDatabase* db_;
 };
 
 std::string* MiningServiceTest::fimi_path_ = nullptr;
 std::string* MiningServiceTest::other_path_ = nullptr;
 std::string* MiningServiceTest::snap_path_ = nullptr;
+std::string* MiningServiceTest::manifest_path_ = nullptr;
 TransactionDatabase* MiningServiceTest::db_ = nullptr;
 
 TEST_F(MiningServiceTest, SecondIdenticalRequestIsCachedAndBitIdentical) {
@@ -111,6 +124,135 @@ TEST_F(MiningServiceTest, ArenaPeakIsZeroUntilAMineAndMonotoneAfter) {
   for (const Pattern& pattern : mined.result->patterns) {
     EXPECT_FALSE(pattern.support_set.arena_backed());
   }
+}
+
+// Every request shape the grammar offers, served over an unsharded
+// snapshot and over a 3-shard exact manifest, answers byte for byte
+// what MineColossal answers on the parent database. A fresh service per
+// request keeps every answer a real mine, never a cache hit.
+TEST_F(MiningServiceTest, ServiceAnswersExactlyWhatTheCoreAnswers) {
+  const char* shapes[] = {
+      "--min-support 8 --k 20 --pool-size 2",
+      "--sigma 0.3 --k 20 --pool-size 2",
+      "--min-support 8 --top-k 3 --pool-size 2",
+      "--min-support 8 --k 20 --pool-size 2 "
+      "--include 3,5,16,17,18,19,20,21,22,23,24,25,26,27,28,29,30",
+      "--min-support 8 --k 20 --pool-size 2 --exclude 0,1,2,16,17",
+      "--min-support 8 --k 20 --pool-size 3 --min-len 3 --max-len 10",
+      "--min-support 8 --k 20 --pool-size 2 --pool-miner eclat",
+  };
+  const std::string datasets[] = {*snap_path_,
+                                  *manifest_path_ + " --shards exact"};
+  for (const std::string& dataset : datasets) {
+    for (const char* shape : shapes) {
+      const std::string line = "--in " + dataset + " " + shape;
+      StatusOr<MineRequest> parsed = ParseRequestLine(line);
+      ASSERT_TRUE(parsed.ok()) << line;
+      MiningService service;
+      const MiningResponse served = service.Mine(*parsed);
+      ASSERT_TRUE(served.status.ok())
+          << line << ": " << served.status.ToString();
+      EXPECT_EQ(served.source, ResponseSource::kMined) << line;
+
+      StatusOr<ColossalMiningResult> core = MineColossal(*db_, parsed->options);
+      ASSERT_TRUE(core.ok()) << line << ": " << core.status().ToString();
+      const std::string expected =
+          PatternsToString(ToFrequentItemsets(core->patterns));
+      EXPECT_FALSE(expected.empty()) << line;
+      EXPECT_EQ(RenderPatternsPayload(served), expected) << line;
+    }
+  }
+}
+
+// Canonicalization erases the pool miner, but execution must still run
+// the one the request named: the two spellings share a payload and a
+// cache key, while each miner leaves its own arena footprint.
+TEST_F(MiningServiceTest, EclatSpellingSharesTheKeyButStillRunsEclat) {
+  MineRequest apriori = BasicRequest();
+  apriori.options.initial_pool_max_size = 3;
+  MineRequest eclat = apriori;
+  eclat.options.pool_miner = PoolMiner::kEclat;
+
+  MiningService apriori_service;
+  MiningService eclat_service;
+  RequestTrace apriori_trace;
+  RequestTrace eclat_trace;
+  const MiningResponse a = apriori_service.Mine(apriori, &apriori_trace);
+  const MiningResponse e = eclat_service.Mine(eclat, &eclat_trace);
+  ASSERT_TRUE(a.status.ok()) << a.status.ToString();
+  ASSERT_TRUE(e.status.ok()) << e.status.ToString();
+  EXPECT_EQ(RenderPatternsPayload(a), RenderPatternsPayload(e));
+  EXPECT_EQ(a.options_hash, e.options_hash);
+  EXPECT_GT(apriori_trace.arena_peak_bytes.load(), 0);
+  EXPECT_GT(eclat_trace.arena_peak_bytes.load(), 0);
+  EXPECT_NE(apriori_trace.arena_peak_bytes.load(),
+            eclat_trace.arena_peak_bytes.load());
+}
+
+// Serves one request line through the dispatch path and returns the
+// flight record it left.
+FlightRecord DispatchAndRecord(MiningService& service,
+                               const std::string& line) {
+  const ServeOutcome outcome = DispatchServeLine(service, line);
+  EXPECT_TRUE(outcome.response.status.ok())
+      << line << ": " << outcome.response.status.ToString();
+  FlightRecord record;
+  EXPECT_TRUE(service.flight_recorder().Find(outcome.request_id, &record));
+  return record;
+}
+
+// One sink for a request's arena peak, its trace: the request and shard
+// arenas raise it, the flight record reads it, and the service-wide
+// gauge is the max over the records.
+TEST_F(MiningServiceTest, FlightRecordsCarryEachMinesArenaPeak) {
+  MiningService service;
+  const std::string unsharded =
+      "--in " + *snap_path_ + " --min-support 8 --k 20 --pool-size 2";
+  const FlightRecord mined = DispatchAndRecord(service, unsharded);
+  // A different seed, so the exact manifest misses the unsharded entry.
+  const FlightRecord sharded = DispatchAndRecord(
+      service, "--in " + *manifest_path_ +
+                   " --shards exact --min-support 8 --k 20 --pool-size 2 "
+                   "--seed 5");
+  const FlightRecord cached = DispatchAndRecord(service, unsharded);
+  EXPECT_STREQ(mined.source, "mined");
+  EXPECT_GT(mined.arena_peak_bytes, 0);
+  EXPECT_STREQ(sharded.source, "mined");
+  EXPECT_GT(sharded.arena_peak_bytes, 0);
+  EXPECT_STREQ(cached.source, "cache");
+  EXPECT_EQ(cached.arena_peak_bytes, 0);
+  EXPECT_EQ(service.metrics().GaugeValue("colossal_arena_peak_bytes"),
+            std::max(mined.arena_peak_bytes, sharded.arena_peak_bytes));
+}
+
+// The record's shard_parallelism is the fan-out the sharded miner used,
+// not the request's knob (whose default, 0, means auto).
+TEST_F(MiningServiceTest, FlightRecordsCarryTheFanOutUsed) {
+  MiningService service;
+  const std::string sharded = "--in " + *manifest_path_ +
+                              " --shards exact --min-support 8 --k 20 "
+                              "--pool-size 2";
+  const FlightRecord explicit_two =
+      DispatchAndRecord(service, sharded + " --shard-parallelism 2");
+  EXPECT_STREQ(explicit_two.source, "mined");
+  EXPECT_EQ(explicit_two.shards, 3);
+  EXPECT_EQ(explicit_two.shard_parallelism, 2);
+
+  const FlightRecord automatic =
+      DispatchAndRecord(service, sharded + " --seed 5");
+  EXPECT_STREQ(automatic.source, "mined");
+  EXPECT_GE(automatic.shard_parallelism, 1);
+  EXPECT_LE(automatic.shard_parallelism, 3);
+
+  const FlightRecord cached = DispatchAndRecord(service, sharded);
+  EXPECT_STREQ(cached.source, "cache");
+  EXPECT_EQ(cached.shard_parallelism, 0);
+
+  const FlightRecord unsharded = DispatchAndRecord(
+      service,
+      "--in " + *snap_path_ + " --min-support 8 --k 20 --pool-size 2 --seed 9");
+  EXPECT_STREQ(unsharded.source, "mined");
+  EXPECT_EQ(unsharded.shard_parallelism, 0);
 }
 
 TEST_F(MiningServiceTest, ThreadCountDoesNotSplitTheCacheKey) {

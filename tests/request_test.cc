@@ -43,6 +43,54 @@ TEST(CanonicalizeRequestTest, ThreadCountIsErased) {
   EXPECT_EQ(a->options.num_threads, 0);
 }
 
+TEST(CanonicalizeRequestTest, PoolMinerIsErased) {
+  // Both pool miners build the identical pool (BuildInitialPool sorts
+  // it), so like num_threads the miner is an execution knob: Eclat and
+  // Apriori requests share one cache key, the Apriori spelling's.
+  const TransactionDatabase db = MakeDiag(10);
+  ColossalMinerOptions apriori;
+  apriori.min_support_count = 3;
+  ColossalMinerOptions eclat = apriori;
+  eclat.pool_miner = PoolMiner::kEclat;
+
+  StatusOr<CanonicalRequest> a = CanonicalizeRequest(db, apriori);
+  StatusOr<CanonicalRequest> b = CanonicalizeRequest(db, eclat);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_TRUE(a->options == b->options);
+  EXPECT_EQ(a->options_hash, b->options_hash);
+  EXPECT_EQ(b->options.pool_miner, PoolMiner::kApriori);
+}
+
+TEST(CanonicalizeRequestTest, CanonicalizationIsIdempotent) {
+  // The service hands canonical options to the core, which
+  // canonicalizes again; that is only safe if the second pass is a
+  // no-op for every request shape.
+  const TransactionDatabase db = MakeDiag(20);
+  ColossalMinerOptions base;
+  base.min_support_count = 3;
+  ColossalMinerOptions shapes[] = {base, base, base, base, base};
+  shapes[0].sigma = 0.35;
+  shapes[1].top_k = 3;
+  shapes[1].k = 50;
+  shapes[2].constraints.include = {5, 1, 3, 1};
+  shapes[2].constraints.exclude = {7};
+  shapes[2].constraints.min_len = 1;
+  shapes[3].constraints.max_len = 2;  // caps the pool size of 3
+  shapes[3].constraints.min_len = 2;
+  shapes[4].pool_miner = PoolMiner::kEclat;
+  shapes[4].num_threads = 4;
+  shapes[4].shard_parallelism = 2;
+  for (const ColossalMinerOptions& shape : shapes) {
+    StatusOr<CanonicalRequest> once = CanonicalizeRequest(db, shape);
+    ASSERT_TRUE(once.ok()) << once.status().ToString();
+    StatusOr<CanonicalRequest> twice = CanonicalizeRequest(db, once->options);
+    ASSERT_TRUE(twice.ok()) << twice.status().ToString();
+    EXPECT_TRUE(twice->options == once->options);
+    EXPECT_EQ(twice->options_hash, once->options_hash);
+  }
+}
+
 TEST(CanonicalizeRequestTest, ShardParallelismIsErased) {
   // Like num_threads, shard parallelism is a pure performance knob:
   // requests differing only in it must collapse to one cache key, so
@@ -70,12 +118,11 @@ TEST(CanonicalizeRequestTest, ResultAffectingKnobsChangeTheHash) {
   StatusOr<CanonicalRequest> reference = CanonicalizeRequest(db, base);
   ASSERT_TRUE(reference.ok());
 
-  ColossalMinerOptions variants[] = {base, base, base, base, base};
+  ColossalMinerOptions variants[] = {base, base, base, base};
   variants[0].tau = 0.25;
   variants[1].k = 7;
   variants[2].seed = 99;
   variants[3].min_support_count = 4;
-  variants[4].pool_miner = PoolMiner::kEclat;
   for (const ColossalMinerOptions& variant : variants) {
     StatusOr<CanonicalRequest> other = CanonicalizeRequest(db, variant);
     ASSERT_TRUE(other.ok());
@@ -156,7 +203,10 @@ TEST(ParseRequestLineTest, UnknownFlagErrorListsKnownFlags) {
 // captured from the pre-refactor binary (PR 9); if one of them moves,
 // cached results, in-flight dedup and cross-version replay all break.
 // The mode-extension fields hash only when set, which is exactly what
-// keeps these stable.
+// keeps these stable. The two --pool-miner eclat lines are the one
+// deliberate exception: canonicalization erases the pool miner, so they
+// were re-pinned to the hash of their --pool-miner apriori spelling
+// (checked below).
 TEST(GoldenCacheKeyTest, LegacyRequestLinesKeepTheirHistoricalHashes) {
   struct GoldenKey {
     const char* line;
@@ -172,11 +222,11 @@ TEST(GoldenCacheKeyTest, LegacyRequestLinesKeepTheirHistoricalHashes) {
       {"--in data.fimi --sigma 0.25 --tau 0.4 --k 50 --pool-size 2 "
        "--pool-miner eclat --max-iterations 9 --attempts 3 --retain 4 "
        "--seed 11 --threads 2 --shard-parallelism 4",
-       100, 0xd5dc30f2a4506e90ULL, 0xbb7857fcb2bd98f3ULL},
+       100, 0x18c2ac83764f60c5ULL, 0xd2497764657e5543ULL},
       {"--in data.fimi --sigma 0.25 --tau 0.4 --k 50 --pool-size 2 "
        "--pool-miner eclat --max-iterations 9 --attempts 3 --retain 4 "
        "--seed 11 --threads 2 --shard-parallelism 4",
-       4395, 0x8a878143b7a90ef3ULL, 0x9473ac0b0580be9aULL},
+       4395, 0xc1d389a214ebdddeULL, 0x233d5a00d0075089ULL},
       {"--in d.snap --min-support 20", 100, 0x543d6b0fe3bebe84ULL,
        0x2e1125a92c5aa5e6ULL},
       {"--in shards/d.manifest --shards exact --min-support 12 --tau 0.5 "
@@ -205,6 +255,21 @@ TEST(GoldenCacheKeyTest, LegacyRequestLinesKeepTheirHistoricalHashes) {
         << key.line << " @" << key.num_transactions;
     EXPECT_EQ(fuse->options_hash, key.fuse_hash)
         << key.line << " @" << key.num_transactions;
+
+    std::string apriori_line = key.line;
+    const std::string eclat = "--pool-miner eclat";
+    const size_t at = apriori_line.find(eclat);
+    if (at == std::string::npos) continue;
+    apriori_line.replace(at, eclat.size(), "--pool-miner apriori");
+    StatusOr<MineRequest> apriori = ParseRequestLine(apriori_line);
+    ASSERT_TRUE(apriori.ok()) << apriori_line;
+    for (bool fuse_mode : {false, true}) {
+      StatusOr<CanonicalRequest> spelled = CanonicalizeRequestForSize(
+          key.num_transactions, apriori->options, fuse_mode);
+      ASSERT_TRUE(spelled.ok()) << apriori_line;
+      EXPECT_EQ(spelled->options_hash, fuse_mode ? key.fuse_hash : key.hash)
+          << apriori_line << " @" << key.num_transactions;
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <limits>
 #include <memory>
@@ -135,9 +136,10 @@ TEST_F(ShardedMinerTest, ArenaBackedMineIsByteIdenticalAndRecordsPeaks) {
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
   for (ShardMergeMode mode : {ShardMergeMode::kExact, ShardMergeMode::kFuse}) {
-    std::atomic<int64_t> peak{0};
+    RequestTrace trace;
+    const std::atomic<int64_t>& peak = trace.arena_peak_bytes;
     ShardResidencyOptions residency;
-    residency.arena_peak_bytes = &peak;
+    residency.trace = &trace;
     ShardedMiner miner(*manifest, DiskLoader(), residency);
 
     StatusOr<ColossalMiningResult> heap = miner.Mine(BaseOptions(), mode);
@@ -162,6 +164,39 @@ TEST_F(ShardedMinerTest, ArenaBackedMineIsByteIdenticalAndRecordsPeaks) {
       EXPECT_EQ(Render(*heap), Render(*reference));
     }
   }
+}
+
+TEST_F(ShardedMinerTest, FusePhasesFitInsideTheCallAtFanOutOne) {
+  // At fan-out 1 the miner's three phases are back-to-back spans inside
+  // the call, so their sum cannot exceed its wall time. Handing the
+  // trace to the per-shard MineColossal calls as well would count their
+  // pool mining and fusion a second time, inside the pool_mine span.
+  StatusOr<ShardManifest> manifest =
+      ReadShardManifestFile((*manifest_paths_)[2]);  // 7 shards
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  RequestTrace trace;
+  ShardResidencyOptions residency;
+  residency.trace = &trace;
+  ShardedMiner miner(*manifest, DiskLoader(), residency);
+  ColossalMinerOptions options = BaseOptions();
+  options.shard_parallelism = 1;
+
+  const auto start = std::chrono::steady_clock::now();
+  StatusOr<ColossalMiningResult> mined =
+      miner.Mine(options, ShardMergeMode::kFuse);
+  const int64_t wall_nanos =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+  EXPECT_EQ(trace.shard_parallelism.load(), 1);
+  const int64_t pool = trace.nanos(TracePhase::kPoolMine);
+  const int64_t stitch = trace.nanos(TracePhase::kStitch);
+  const int64_t fusion = trace.nanos(TracePhase::kFusion);
+  EXPECT_GT(pool, 0);
+  EXPECT_GT(stitch, 0);
+  EXPECT_GT(fusion, 0);
+  EXPECT_LE(pool + stitch + fusion, wall_nanos);
 }
 
 TEST_F(ShardedMinerTest, FanOutMatrixIsByteIdenticalToUnsharded) {
