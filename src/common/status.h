@@ -132,6 +132,9 @@ class StatusOr {
 
   const T& operator*() const& { return value(); }
   T& operator*() & { return value(); }
+  // `*std::move(s)` moves the value out; without this overload it would
+  // bind the const& form above and copy.
+  T&& operator*() && { return std::move(*this).value(); }
   const T* operator->() const { return &value(); }
   T* operator->() { return &value(); }
 

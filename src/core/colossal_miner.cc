@@ -104,12 +104,17 @@ StatusOr<ColossalMiningResult> MineColossal(const TransactionDatabase& db,
   // Execution knobs (pool miner, thread count) come from the caller:
   // canonicalization resets them.
   PhaseTimer pool_timer(trace, TracePhase::kPoolMine);
+  MinerStats pool_stats;
   StatusOr<std::vector<Pattern>> pool = BuildInitialPool(
       db, canonical->min_support_count, canonical->initial_pool_max_size,
       options.pool_miner, options.num_threads, arena,
-      canonical->constraints);
+      canonical->constraints, &pool_stats);
   pool_timer.Stop();
   if (!pool.ok()) return pool.status();
+  if (trace != nullptr) {
+    trace->pool_nodes_expanded.fetch_add(pool_stats.nodes_expanded,
+                                         std::memory_order_relaxed);
+  }
 
   ColossalMinerOptions exec = *canonical;
   exec.num_threads = options.num_threads;

@@ -151,9 +151,10 @@ struct ColossalMiningResult {
 // output is byte-identical with or without an arena.
 //
 // `trace`, when given, receives the wall time of the two phases:
-// initial-pool mining (kPoolMine) and fusion (kFusion). The serving
-// layer passes its per-request trace, so a library caller gets the same
-// phase split the server reports. Output is byte-identical either way.
+// initial-pool mining (kPoolMine) and fusion (kFusion), and the pool
+// miner's expanded nodes (pool_nodes_expanded). The serving layer passes
+// its per-request trace, so a library caller gets the same phase split
+// the server reports. Output is byte-identical either way.
 StatusOr<ColossalMiningResult> MineColossal(
     const TransactionDatabase& db, const ColossalMinerOptions& options,
     Arena* arena = nullptr, RequestTrace* trace = nullptr);

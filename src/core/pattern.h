@@ -29,14 +29,25 @@ struct Pattern {
   }
 };
 
+// Initial-pool order: by size, then lexicographically — the order
+// Apriori enumerates and SortPatterns imposes. The fusion engine is
+// pool-order-sensitive (seed draws index the pool), so every initial
+// pool, sharded or not, is kept in this order.
+inline bool PoolOrderLess(const Pattern& a, const Pattern& b) {
+  if (a.size() != b.size()) return a.size() < b.size();
+  return a.items < b.items;
+}
+
 // Builds a Pattern by computing the support set of `items` against `db`.
 // With an arena, the support set is arena-backed (mining temporaries
 // only — the pattern must not outlive the arena).
 Pattern MakePattern(const TransactionDatabase& db, Itemset items,
                     Arena* arena = nullptr);
 
-// Converts a complete-miner result into patterns with materialized
-// support sets (the form Pattern-Fusion's initial pool needs).
+// Converts a complete-miner result into patterns with support sets
+// re-derived from `db`. The pool path takes the miners' own sets
+// instead (MinePoolPatterns); this stays as the oracle tests check that
+// hand-over against.
 std::vector<Pattern> MakePatterns(const TransactionDatabase& db,
                                   const std::vector<FrequentItemset>& mined,
                                   Arena* arena = nullptr);

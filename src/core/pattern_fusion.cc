@@ -300,17 +300,34 @@ StatusOr<PatternFusionResult> RunPatternFusion(
   return engine.Run(std::move(initial_pool));
 }
 
-StatusOr<MiningResult> MineWithPoolMiner(const TransactionDatabase& db,
-                                         PoolMiner miner,
-                                         const MinerOptions& options) {
-  return miner == PoolMiner::kApriori ? MineApriori(db, options)
-                                      : MineEclat(db, options);
+StatusOr<std::vector<Pattern>> MinePoolPatterns(const TransactionDatabase& db,
+                                                PoolMiner miner,
+                                                const MinerOptions& options,
+                                                MinerStats* stats) {
+  std::vector<Bitvector> support_sets;
+  StatusOr<MiningResult> mined =
+      miner == PoolMiner::kApriori ? MineApriori(db, options, &support_sets)
+                                   : MineEclat(db, options, &support_sets);
+  if (!mined.ok()) return mined.status();
+  if (stats != nullptr) *stats = mined->stats;
+  std::vector<Pattern> patterns(mined->patterns.size());
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    patterns[i].items = std::move(mined->patterns[i].items);
+    patterns[i].support_set = std::move(support_sets[i]);
+    patterns[i].support = mined->patterns[i].support;
+  }
+  // Apriori emits level by level in join order, which is already pool
+  // order; Eclat's DFS preorder is sorted here, sets and all.
+  if (miner == PoolMiner::kEclat) {
+    std::sort(patterns.begin(), patterns.end(), PoolOrderLess);
+  }
+  return patterns;
 }
 
 StatusOr<std::vector<Pattern>> BuildInitialPool(
     const TransactionDatabase& db, int64_t min_support_count,
     int max_pattern_size, PoolMiner miner, int num_threads, Arena* arena,
-    const MiningConstraints& constraints) {
+    const MiningConstraints& constraints, MinerStats* stats) {
   if (max_pattern_size < 1) {
     return Status::InvalidArgument("max_pattern_size must be >= 1");
   }
@@ -320,21 +337,14 @@ StatusOr<std::vector<Pattern>> BuildInitialPool(
   miner_options.num_threads = num_threads;
   miner_options.arena = arena;
   miner_options.constraints = constraints;
-  StatusOr<MiningResult> mined = MineWithPoolMiner(db, miner, miner_options);
-  if (!mined.ok()) return mined.status();
-  if (mined->patterns.empty()) {
+  StatusOr<std::vector<Pattern>> pool =
+      MinePoolPatterns(db, miner, miner_options, stats);
+  if (pool.ok() && pool->empty()) {
     return Status::FailedPrecondition(
         "no frequent patterns at min_support_count " +
         std::to_string(min_support_count));
   }
-  // Normalize to (size, lexicographic) order — Apriori's natural
-  // level-wise order, imposed on Eclat's DFS order too. The fusion
-  // engine is pool-order-sensitive (seed draws index the pool), so this
-  // is what makes the mining output independent of the pool miner, and
-  // what lets the sharded miner recover a positionally identical pool
-  // without ever seeing the unsharded enumeration.
-  SortPatterns(&mined->patterns);
-  return MakePatterns(db, mined->patterns, arena);
+  return pool;
 }
 
 }  // namespace colossal

@@ -164,28 +164,37 @@ StatusOr<PatternFusionResult> RunPatternFusion(
 
 // Which complete miner builds the initial pool. The paper allows "any
 // existing efficient mining algorithm"; both choices produce the
-// identical pool — BuildInitialPool normalizes to (size, lexicographic)
-// order, so downstream fusion output is byte-identical for either
-// miner — with different cost profiles: breadth-first Apriori reuses
-// level-(k−1) support sets, depth-first Eclat uses less transient
-// memory.
+// identical pool — MinePoolPatterns hands both over in (size,
+// lexicographic) order, so downstream fusion output is byte-identical
+// for either miner. They materialize the same support sets (every
+// frequent pattern up to the bound, and nothing else); breadth-first
+// Apriori prunes candidates by their subsets before counting them,
+// while depth-first Eclat probes every right sibling of a node and then
+// sorts its DFS order.
 enum class PoolMiner {
   kApriori,
   kEclat,
 };
 
-// Runs the complete miner `miner` names: the one place a PoolMiner
-// picks MineApriori or MineEclat. BuildInitialPool and the sharded
-// miner's per-shard pool mining both call it.
-StatusOr<MiningResult> MineWithPoolMiner(const TransactionDatabase& db,
-                                         PoolMiner miner,
-                                         const MinerOptions& options);
+// Runs the complete miner `miner` names — the one place a PoolMiner
+// picks MineApriori or MineEclat — and hands over the patterns with the
+// support sets the miner computed for them, in (size, lexicographic)
+// order (PoolOrderLess): Apriori's output is already in that order, and
+// Eclat's is sorted together with its sets. Support sets are
+// arena-backed when options.arena is set. Unlike BuildInitialPool, an
+// empty result is not an error: the sharded miner mines each shard with
+// this, and a shard may hold no locally frequent pattern. `stats`, when
+// given, receives the miner's MinerStats.
+StatusOr<std::vector<Pattern>> MinePoolPatterns(const TransactionDatabase& db,
+                                                PoolMiner miner,
+                                                const MinerOptions& options,
+                                                MinerStats* stats = nullptr);
 
 // Builds the initial pool (paper §2.3 phase 1): the complete set of
-// frequent patterns of size ≤ max_pattern_size, with support sets
-// materialized, in (size, lexicographic) order regardless of the miner.
-// `num_threads` (0 = auto) parallelizes the underlying miner; the pool
-// is identical for any value.
+// frequent patterns of size ≤ max_pattern_size, with the support sets
+// the miner computed, in (size, lexicographic) order regardless of the
+// miner (see MinePoolPatterns). `num_threads` (0 = auto) parallelizes
+// the underlying miner; the pool is identical for any value.
 // With an arena, the pool's support sets are arena-backed (the pool
 // must then not outlive the arena; fusion copies its answer out, so
 // this is safe for the MineColossal pipeline).
@@ -195,12 +204,14 @@ StatusOr<MiningResult> MineWithPoolMiner(const TransactionDatabase& db,
 // filtering a complete one. Cardinality bounds are NOT applied here —
 // max_len is expressed through max_pattern_size by the caller, and
 // min_len must not prune the pool (small patterns are fusion's
-// building blocks).
+// building blocks). Fails when no pattern is frequent. `stats`, when
+// given, receives the miner's MinerStats.
 StatusOr<std::vector<Pattern>> BuildInitialPool(
     const TransactionDatabase& db, int64_t min_support_count,
     int max_pattern_size, PoolMiner miner = PoolMiner::kApriori,
     int num_threads = 0, Arena* arena = nullptr,
-    const MiningConstraints& constraints = MiningConstraints());
+    const MiningConstraints& constraints = MiningConstraints(),
+    MinerStats* stats = nullptr);
 
 // One fusion of a seed with its CoreList (the Fusion(α.CoreList) routine
 // of Algorithm 2, one sampling pass): greedily merges ball members in the

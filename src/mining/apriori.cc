@@ -26,36 +26,36 @@ struct LevelEntry {
 // concatenating row outputs in row order reproduces the serial
 // enumeration exactly. Returns false iff the node budget tripped
 // mid-row, with budget_exceeded set on `stats` — checked per candidate,
-// like every miner's budget.
+// like every miner's budget. The prefix, prune and popcount checks run
+// on the parents' item vectors and one reused subset buffer, so a
+// candidate's Itemset is allocated only once it is known frequent.
 bool JoinRow(const std::vector<LevelEntry>& level, size_t a,
              const MinerOptions& options, std::vector<LevelEntry>& out,
              MinerStats& stats) {
-  const Itemset& left = level[a].items;
+  const std::vector<ItemId>& left = level[a].items.items();
+  std::vector<ItemId> subset;
   for (size_t b = a + 1; b < level.size(); ++b) {
-    const Itemset& right = level[b].items;
-    bool same_prefix = true;
-    for (int i = 0; i < left.size() - 1; ++i) {
-      if (left[i] != right[i]) {
-        same_prefix = false;
-        break;
-      }
+    const std::vector<ItemId>& right = level[b].items.items();
+    if (!std::equal(left.begin(), left.end() - 1, right.begin())) {
+      break;  // sorted order: no later b can match
     }
-    if (!same_prefix) break;  // sorted order: no later b can match
+    const ItemId last = right.back();
 
-    Itemset candidate = left.WithItem(right[right.size() - 1]);
-
-    // Prune step: every (size−1)-subset must be frequent. The two join
-    // parents are; check the others by binary search over the sorted
-    // level.
+    // Prune step: every (size−1)-subset of left ∪ {last} must be
+    // frequent. The two join parents are; each other subset drops one
+    // of left's first size−2 items and is checked by binary search over
+    // the sorted level.
     bool all_subsets_frequent = true;
-    for (int drop = 0; drop < candidate.size() - 2; ++drop) {
-      const Itemset subset = candidate.WithoutItem(candidate[drop]);
+    for (size_t drop = 0; drop + 1 < left.size(); ++drop) {
+      subset.assign(left.begin(), left.begin() + drop);
+      subset.insert(subset.end(), left.begin() + drop + 1, left.end());
+      subset.push_back(last);
       const auto it = std::lower_bound(
           level.begin(), level.end(), subset,
-          [](const LevelEntry& entry, const Itemset& target) {
-            return entry.items < target;
+          [](const LevelEntry& entry, const std::vector<ItemId>& target) {
+            return entry.items.items() < target;
           });
-      if (it == level.end() || !(it->items == subset)) {
+      if (it == level.end() || it->items.items() != subset) {
         all_subsets_frequent = false;
         break;
       }
@@ -68,11 +68,16 @@ bool JoinRow(const std::vector<LevelEntry>& level, size_t a,
       stats.budget_exceeded = true;
       return false;
     }
-    // Popcount first; materialize the support set only for survivors.
+    // Popcount first; materialize the itemset and support set only for
+    // survivors.
     const int64_t support =
         Bitvector::AndCount(level[a].support_set, level[b].support_set);
     if (support >= options.min_support_count) {
-      out.push_back({std::move(candidate),
+      std::vector<ItemId> items;
+      items.reserve(left.size() + 1);
+      items.assign(left.begin(), left.end());
+      items.push_back(last);
+      out.push_back({Itemset::FromSorted(std::move(items)),
                      Bitvector::And(level[a].support_set,
                                     level[b].support_set, options.arena),
                      support});
@@ -81,12 +86,26 @@ bool JoinRow(const std::vector<LevelEntry>& level, size_t a,
   return true;
 }
 
+// Moves a level the join no longer reads into `result`, in level order,
+// and its support sets into `support_sets` when the caller wants them.
+void EmitLevel(std::vector<LevelEntry>& level, MiningResult& result,
+               std::vector<Bitvector>* support_sets) {
+  for (LevelEntry& entry : level) {
+    result.patterns.push_back({std::move(entry.items), entry.support});
+    if (support_sets != nullptr) {
+      support_sets->push_back(std::move(entry.support_set));
+    }
+  }
+}
+
 }  // namespace
 
 StatusOr<MiningResult> MineApriori(const TransactionDatabase& db,
-                                   const MinerOptions& options) {
+                                   const MinerOptions& options,
+                                   std::vector<Bitvector>* support_sets) {
   Status valid = ValidateMinerOptions(db, options);
   if (!valid.ok()) return valid;
+  if (support_sets != nullptr) support_sets->clear();
 
   MiningResult result;
   const int max_size = options.max_pattern_size == 0
@@ -121,11 +140,6 @@ StatusOr<MiningResult> MineApriori(const TransactionDatabase& db,
     if (support >= options.min_support_count) {
       level.push_back(
           {Itemset::Single(item), Bitvector(tidset, options.arena), support});
-    }
-  }
-  if (max_size >= 1) {
-    for (const LevelEntry& entry : level) {
-      result.patterns.push_back({entry.items, entry.support});
     }
   }
 
@@ -164,15 +178,17 @@ StatusOr<MiningResult> MineApriori(const TransactionDatabase& db,
       for (size_t a = 0; a < level.size(); ++a) {
         // JoinRow sets budget_exceeded on result.stats when it trips.
         if (!JoinRow(level, a, options, next_level, result.stats)) {
+          EmitLevel(level, result, support_sets);
           return result;
         }
       }
     }
-    for (const LevelEntry& entry : next_level) {
-      result.patterns.push_back({entry.items, entry.support});
-    }
+    EmitLevel(level, result, support_sets);
     level = std::move(next_level);
   }
+  // Each level is emitted once the next one is joined, so the output
+  // runs level by level in join order: (size, lexicographic).
+  EmitLevel(level, result, support_sets);
   return result;
 }
 

@@ -1,6 +1,9 @@
 #ifndef COLOSSAL_MINING_APRIORI_H_
 #define COLOSSAL_MINING_APRIORI_H_
 
+#include <vector>
+
+#include "common/bitvector.h"
 #include "common/status.h"
 #include "data/transaction_database.h"
 #include "mining/miner.h"
@@ -18,9 +21,18 @@ namespace colossal {
 // in milliseconds even on the microarray stand-in. It is also one leg of
 // the miner cross-check tests.
 //
+// Patterns come out in (size, lexicographic) order — the order
+// SortPatterns imposes — so callers never need to re-sort them. When
+// `support_sets` is non-null it receives each pattern's support set,
+// index-aligned with result.patterns: the sets the level-wise join
+// already computed, handed over instead of dropped (arena-backed when
+// options.arena is set). Leave it null for baseline runs, where holding
+// every level's sets would only cost memory.
+//
 // Each counted candidate costs one search node against options.max_nodes.
-StatusOr<MiningResult> MineApriori(const TransactionDatabase& db,
-                                   const MinerOptions& options);
+StatusOr<MiningResult> MineApriori(
+    const TransactionDatabase& db, const MinerOptions& options,
+    std::vector<Bitvector>* support_sets = nullptr);
 
 }  // namespace colossal
 

@@ -66,13 +66,14 @@ struct MinerOptions {
   // serial so the truncation point stays deterministic.
   int num_threads = 0;
 
-  // Optional bump arena for mining temporaries (candidate support sets
-  // and tidset intersections in MineApriori/MineEclat; the other miners
-  // ignore it). The caller owns lifetime: the arena must outlive the
-  // call, and nothing in a MiningResult references it (results carry no
-  // Bitvectors). Purely a performance knob — output is byte-identical
-  // with or without it — and deliberately not part of any request
-  // canonicalization or cache key.
+  // Optional bump arena for the support sets MineApriori and MineEclat
+  // compute (candidate sets and tidset intersections; the other miners
+  // ignore it). The caller owns lifetime: a MiningResult never
+  // references it, but the support sets those two miners hand over
+  // through their `support_sets` out-parameter live in it, so the arena
+  // must outlive them. Purely a performance knob — output is
+  // byte-identical with or without it — and deliberately not part of
+  // any request canonicalization or cache key.
   Arena* arena = nullptr;
 };
 

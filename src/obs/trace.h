@@ -28,8 +28,10 @@ enum class TracePhase {
   kParse = 0,     // request parse + option canonicalization
   kCacheLookup,   // result-cache probe
   kRegistry,      // dataset sniff/load/pin, incl. admission waits
-  kPoolMine,      // initial pool mining (phase-1 fan-out when sharded)
-  kStitch,        // sharded re-count + candidate filter/sort
+  kPoolMine,      // initial pool mining (sharded: the phase-1 fan-out
+                  // and the sorted merge of the shard pools)
+  kStitch,        // sharded: re-count of the pairs a shard did not
+                  // mine + the global frequency filter
   kFusion,        // core-pattern fusion from the pool
   kSerialize,     // response payload rendering
 };
@@ -65,12 +67,16 @@ struct RequestTrace {
 
   // Non-phase per-request observables, filled by whichever layer knows
   // them (registry admission, the request and shard arenas, the sharded
-  // miner's resolved fan-out) and read back by the flight recorder when
-  // the request completes. Atomic for the same reason the phase
-  // accumulators are: shard jobs report concurrently.
+  // miner's resolved fan-out, the pool miners) and read back by the
+  // flight recorder when the request completes. Atomic for the same
+  // reason the phase accumulators are: shard jobs report concurrently.
   std::atomic<int64_t> admission_wait_nanos{0};
   std::atomic<int64_t> arena_peak_bytes{0};
   std::atomic<int32_t> shard_parallelism{0};
+  // Search nodes the initial-pool miner expanded (MinerStats), summed
+  // over an exact sharded mine's shard jobs. The flight record does not
+  // carry it yet.
+  std::atomic<int64_t> pool_nodes_expanded{0};
 
   void AddNanos(TracePhase phase, int64_t nanos) {
     phase_nanos[static_cast<int>(phase)].fetch_add(

@@ -6,12 +6,13 @@
 #include <atomic>
 #include <cstdio>
 #include <limits>
-#include <unordered_set>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "common/arena.h"
-#include "common/hash.h"
 #include "common/thread_pool.h"
 #include "core/pattern.h"
 #include "data/snapshot_io.h"
@@ -21,18 +22,25 @@ namespace colossal {
 
 namespace {
 
-// Support set of `items` within one shard, or an empty vector when an
-// item does not occur in the shard at all (its id is outside the
-// shard's dense domain — the global pattern simply has no rows there).
-Bitvector ShardSupportSet(const TransactionDatabase& shard,
-                          const Itemset& items, Arena* arena) {
-  for (ItemId item : items) {
-    if (item >= shard.num_items()) {
-      return Bitvector(shard.num_transactions(), arena);
-    }
-  }
-  return shard.SupportSet(items, arena);
-}
+// One phase-1 shard job's output: the shard's patterns in pool order
+// (PoolOrderLess) with their shard-local support sets, the arena backing
+// those sets (exact mode; fuse mode's patterns are heap-backed), and the
+// shard's item domain, which the re-count pass needs without reloading
+// the shard.
+struct ShardPool {
+  std::unique_ptr<Arena> arena;
+  std::vector<Pattern> patterns;
+  ItemId num_items = 0;
+};
+
+// A candidate of the global pool while shard pools merge in: its global
+// support set so far (local sets ORed in at each mining shard's row
+// offset), and the shards that did not mine it — the only pairs the
+// re-count pass must still count.
+struct Candidate {
+  Pattern pattern;
+  std::vector<size_t> unmined_shards;
+};
 
 // CAS-max a finished arena's high-water mark into the request's trace
 // (when one is wired).
@@ -250,18 +258,17 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
   // shard jobs. ResolveFanOut caps concurrency so the concurrently
   // resident shards always fit the registry budget (at fan-out 1 this
   // is exactly the old sequential walk: at most one shard resident
-  // beyond the registry's choices). Each job's result lands in its
-  // shard's slot; merging then walks slots in manifest order with
-  // first-appearance dedup, so the candidate list — and everything
-  // downstream — is byte-identical to the sequential walk regardless of
-  // completion order. Per-shard miners derive any randomness from the
-  // options alone (each MineColossal call seeds its own RNG stream from
-  // options.seed), never from scheduling, which keeps fuse mode
-  // identical across thread counts and parallelism too.
+  // beyond the registry's choices). Each job's pool lands in its
+  // shard's slot and is merged in manifest order, so the candidate list
+  // — and everything downstream — is byte-identical to the sequential
+  // walk regardless of completion order. Per-shard miners derive any
+  // randomness from the options alone (each MineColossal call seeds its
+  // own RNG stream from options.seed), never from scheduling, which
+  // keeps fuse mode identical across thread counts and parallelism too.
   // The phase-1 wall clock (kPoolMine) covers estimation, the fan-out
-  // and the candidate merge; loader-side registry/admission time is
-  // attributed to kRegistry by the loader itself and overlaps this span
-  // when the fan-out is parallel.
+  // and the sorted merge of the shard pools; loader-side
+  // registry/admission time is attributed to kRegistry by the loader
+  // itself and overlaps this span when the fan-out is parallel.
   PhaseTimer pool_timer(residency_.trace, TracePhase::kPoolMine);
   const size_t num_shards = manifest_.shards.size();
   // One estimate per shard (one stat each), shared by the governor and
@@ -283,19 +290,24 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
     residency_.trace->shard_parallelism.store(fan_out,
                                               std::memory_order_relaxed);
   }
-  auto mine_shard = [&](int64_t index) -> StatusOr<std::vector<Itemset>> {
-    const size_t i = static_cast<size_t>(index);
+  // Thread budget: the concurrent shard jobs split the request's
+  // threads between them (at least one each), so a fan-out never runs
+  // more miner threads than the request asked for.
+  const int job_threads = std::max(
+      1, ParallelPolicy{options.num_threads}.ResolvedThreads() / fan_out);
+  auto mine_shard = [&](size_t i) -> StatusOr<ShardPool> {
     StatusOr<LoadedShard> shard = LoadShard(i, estimates[i]);
     if (!shard.ok()) return shard.status();
     const int64_t local_min = ShardLocalMinSupport(
         min_support, manifest_.shards[i].rows(), total_rows);
 
-    // One arena per shard job: all of this mine's tidset temporaries
-    // free together when the job ends, and concurrent jobs never
-    // contend on each other's allocator. Only the itemsets escape, so
-    // nothing outlives the arena.
-    Arena shard_arena;
-    std::vector<Itemset> mined_items;
+    // One arena per shard job, so concurrent jobs never contend on each
+    // other's allocator. In exact mode it backs the handed-over local
+    // sets and lives until they are merged; in fuse mode only scratch
+    // lives there, and it dies with the job.
+    ShardPool mined_pool;
+    mined_pool.num_items = shard->db->num_items();
+    auto shard_arena = std::make_unique<Arena>();
     if (mode == ShardMergeMode::kExact) {
       // The complete bounded-size miner at the Partition-scaled
       // threshold: the union over shards is a superset of the global
@@ -303,19 +315,23 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
       MinerOptions miner_options;
       miner_options.min_support_count = local_min;
       miner_options.max_pattern_size = canonical->initial_pool_max_size;
-      miner_options.num_threads = options.num_threads;
-      miner_options.arena = &shard_arena;
+      miner_options.num_threads = job_threads;
+      miner_options.arena = shard_arena.get();
       // Constraint pushdown reaches each shard's complete miner:
       // excluded vocabulary never materializes a per-shard Bitvector,
       // exactly as in the unsharded BuildInitialPool path.
       miner_options.constraints = canonical->constraints;
-      StatusOr<MiningResult> mined =
-          MineWithPoolMiner(*shard->db, options.pool_miner, miner_options);
+      MinerStats stats;
+      StatusOr<std::vector<Pattern>> mined = MinePoolPatterns(
+          *shard->db, options.pool_miner, miner_options, &stats);
       if (!mined.ok()) return mined.status();
-      mined_items.reserve(mined->patterns.size());
-      for (const FrequentItemset& pattern : mined->patterns) {
-        mined_items.push_back(pattern.items);
+      if (residency_.trace != nullptr) {
+        residency_.trace->pool_nodes_expanded.fetch_add(
+            stats.nodes_expanded, std::memory_order_relaxed);
       }
+      mined_pool.patterns = *std::move(mined);
+      RecordArenaPeak(residency_.trace, *shard_arena);
+      mined_pool.arena = std::move(shard_arena);
     } else {
       // Approximate fusion: each shard's colossal patterns are the core
       // patterns the cross-shard fusion will draw from. No trace: the
@@ -323,7 +339,7 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
       ColossalMinerOptions local = *canonical;
       local.sigma = -1.0;
       local.min_support_count = local_min;
-      local.num_threads = options.num_threads;
+      local.num_threads = job_threads;
       local.pool_miner = options.pool_miner;
       // Result shaping (top-k truncation, min_len filtering) applies
       // once, at the final cross-shard fusion — a per-shard cut would
@@ -333,71 +349,138 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
       local.top_k = 0;
       local.constraints.min_len = 0;
       StatusOr<ColossalMiningResult> mined =
-          MineColossal(*shard->db, local, &shard_arena);
+          MineColossal(*shard->db, local, shard_arena.get());
       if (!mined.ok()) return mined.status();
-      mined_items.reserve(mined->patterns.size());
-      for (const Pattern& pattern : mined->patterns) {
-        mined_items.push_back(pattern.items);
+      RecordArenaPeak(residency_.trace, *shard_arena);
+      mined_pool.patterns = std::move(mined->patterns);
+      std::sort(mined_pool.patterns.begin(), mined_pool.patterns.end(),
+                PoolOrderLess);
+    }
+    return mined_pool;
+  };
+
+  // The sorted merge: folds shard i's pool into `candidates`, both in
+  // pool order, in one walk. A pattern the shard mined ORs its local set
+  // into the candidate's global set at the shard's row offset; a
+  // candidate the shard did not mine records the shard for the
+  // re-count; a pattern no lower shard mined becomes a new candidate
+  // that every lower shard must re-count, spliced in at the position the
+  // walk found for it. Shards merge in manifest order, so the candidates
+  // never depend on completion order and stay in pool order without a
+  // sort.
+  //
+  // While shard jobs run, merge_mutex guards the merge state: the
+  // candidates, each merged shard's item domain, the slots where
+  // finished jobs park their pools, and the count of merged shards.
+  std::mutex merge_mutex;
+  std::vector<Candidate> candidates;
+  std::vector<ItemId> shard_domains(num_shards, 0);
+  std::vector<std::optional<StatusOr<ShardPool>>> slots(num_shards);
+  size_t merged_shards = 0;
+  auto merge_shard = [&](size_t i, ShardPool& mined) {
+    const int64_t offset = manifest_.shards[i].row_begin;
+    shard_domains[i] = mined.num_items;
+    std::vector<Candidate> fresh;
+    std::vector<size_t> fresh_before;  // fresh[k] goes before this index
+    size_t c = 0;
+    for (Pattern& local : mined.patterns) {
+      while (c < candidates.size() &&
+             PoolOrderLess(candidates[c].pattern, local)) {
+        candidates[c++].unmined_shards.push_back(i);
+      }
+      if (c < candidates.size() && candidates[c].pattern.items == local.items) {
+        candidates[c++].pattern.support_set.OrWithShifted(local.support_set,
+                                                          offset);
+        continue;
+      }
+      Candidate& added = fresh.emplace_back();
+      fresh_before.push_back(c);
+      added.pattern.items = std::move(local.items);
+      added.pattern.support_set = Bitvector(total_rows, arena);
+      added.pattern.support_set.OrWithShifted(local.support_set, offset);
+      for (size_t lower = 0; lower < i; ++lower) {
+        added.unmined_shards.push_back(lower);
       }
     }
-    RecordArenaPeak(residency_.trace, shard_arena);
-    return mined_items;
-  };
-  std::unordered_set<Itemset, ItemsetHash, ItemsetEq> seen;
-  std::vector<Itemset> candidates;
-  auto merge_candidates = [&](std::vector<Itemset>& mined_items) {
-    for (Itemset& items : mined_items) {
-      if (seen.insert(items).second) candidates.push_back(std::move(items));
+    for (; c < candidates.size(); ++c) {
+      candidates[c].unmined_shards.push_back(i);
     }
-    mined_items.clear();
+    if (candidates.empty()) {
+      candidates = std::move(fresh);
+      return;
+    }
+    if (fresh.empty()) return;
+    std::vector<Candidate> merged;
+    merged.reserve(candidates.size() + fresh.size());
+    size_t next = 0;
+    for (size_t k = 0; k < fresh.size(); ++k) {
+      while (next < fresh_before[k]) {
+        merged.push_back(std::move(candidates[next++]));
+      }
+      merged.push_back(std::move(fresh[k]));
+    }
+    while (next < candidates.size()) {
+      merged.push_back(std::move(candidates[next++]));
+    }
+    candidates = std::move(merged);
+  };
+
+  // Every finished job parks its pool in its shard's slot, then merges
+  // whatever prefix of slots is ready, in manifest order — so a shard's
+  // local sets (and arena) free as soon as every lower shard has merged,
+  // and at fan-out 1 at most one shard's sets exist beside the global
+  // candidates. A failed slot stops the merge there; the lowest failing
+  // shard's status is what the call returns.
+  auto finish_shard = [&](size_t i, StatusOr<ShardPool> mined) {
+    // Declared before the lock, so merged pools free after it releases.
+    std::vector<ShardPool> merged_pools;
+    std::lock_guard<std::mutex> lock(merge_mutex);
+    slots[i] = std::move(mined);
+    while (merged_shards < num_shards && slots[merged_shards].has_value() &&
+           slots[merged_shards]->ok()) {
+      merge_shard(merged_shards, **slots[merged_shards]);
+      merged_pools.push_back(*std::move(*slots[merged_shards]));
+      slots[merged_shards].reset();
+      ++merged_shards;
+    }
   };
   if (fan_out > 1 && num_shards > 1) {
     // A dedicated pool sized to the admitted width: each driver holds
     // at most one shard resident at a time, so concurrent residency is
     // bounded by fan_out even before the loader's own admission
-    // control. Results land in per-index slots; the merge below walks
-    // them in manifest order (lowest-index failure wins, matching the
-    // status the sequential walk would have returned). Fail-fast with
-    // the same contract: once shard f has failed, shards *above* f are
-    // skipped — exactly the shards a sequential walk would never have
-    // reached — while shards below f still mine, so the reported
-    // failure is the true lowest-index one, not a scheduling accident.
-    std::vector<StatusOr<std::vector<Itemset>>> per_shard(
-        num_shards, StatusOr<std::vector<Itemset>>(std::vector<Itemset>{}));
+    // control. Fail-fast with the sequential walk's contract: once
+    // shard f has failed, shards *above* f are skipped — exactly the
+    // shards a sequential walk would never have reached — while shards
+    // below f still mine, so the reported failure is the true
+    // lowest-index one, not a scheduling accident.
     std::atomic<int64_t> first_failure{
         std::numeric_limits<int64_t>::max()};
     ThreadPool shard_pool(fan_out);
     shard_pool.ParallelFor(static_cast<int64_t>(num_shards), [&](int64_t i) {
       if (i > first_failure.load(std::memory_order_acquire)) {
         // Never read: the merge stops at the lower failing index.
-        per_shard[static_cast<size_t>(i)] =
-            Status::Internal("shard skipped after an earlier shard failed");
+        finish_shard(static_cast<size_t>(i),
+                     Status::Internal(
+                         "shard skipped after an earlier shard failed"));
         return;
       }
-      per_shard[static_cast<size_t>(i)] = mine_shard(i);
-      if (!per_shard[static_cast<size_t>(i)].ok()) {
+      StatusOr<ShardPool> mined = mine_shard(static_cast<size_t>(i));
+      if (!mined.ok()) {
         int64_t lowest = first_failure.load(std::memory_order_relaxed);
         while (i < lowest && !first_failure.compare_exchange_weak(
                                  lowest, i, std::memory_order_release)) {
         }
       }
+      finish_shard(static_cast<size_t>(i), std::move(mined));
     });
-    for (size_t i = 0; i < num_shards; ++i) {
-      if (!per_shard[i].ok()) return per_shard[i].status();
-      merge_candidates(*per_shard[i]);
-    }
   } else {
-    // Sequential walk: merge each shard's output as it arrives — the
-    // governor picks fan-out 1 exactly when shards are large relative
-    // to the budget, so never buffer more than one shard's pre-dedup
-    // list — and stop at the first failure, like before.
-    for (size_t i = 0; i < num_shards; ++i) {
-      StatusOr<std::vector<Itemset>> mined =
-          mine_shard(static_cast<int64_t>(i));
-      if (!mined.ok()) return mined.status();
-      merge_candidates(*mined);
+    // Sequential walk: mine and merge one shard at a time, and stop at
+    // the first failure.
+    for (size_t i = 0; i < num_shards && merged_shards == i; ++i) {
+      finish_shard(i, mine_shard(i));
     }
   }
+  if (merged_shards < num_shards) return slots[merged_shards]->status();
   pool_timer.Stop();
   if (candidates.empty()) {
     return Status::FailedPrecondition(
@@ -405,69 +488,55 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
         std::to_string(min_support));
   }
 
-  // The stitch span (kStitch) covers the re-count pass and the
-  // filter/sort that rebuilds the global pool (phases 2 and 3).
+  // The stitch span (kStitch) covers the re-count and the global
+  // frequency filter (phases 2 and 3).
   PhaseTimer stitch_timer(residency_.trace, TracePhase::kStitch);
 
-  // Phase 2 — re-count: stitch each candidate's per-shard support sets
-  // into its exact global support set. Shards are again visited one at
-  // a time; candidates shard across workers (each writes only its own
-  // global bitvector, so the result is thread-count invariant).
-  // The stitched global sets live on the request arena (they flow into
-  // the pool and are detached when fusion returns its answer); the
-  // per-candidate local sets go to a scratch arena rewound after every
-  // shard, once its ParallelFor has joined.
-  std::vector<Bitvector> global_support(candidates.size());
-  for (Bitvector& support : global_support) {
-    support = Bitvector(total_rows, arena);
-  }
-  const int num_threads =
-      ParallelPolicy{options.num_threads}.ResolvedThreads();
-  std::unique_ptr<ThreadPool> workers;
-  if (num_threads > 1 && candidates.size() > 1) {
-    workers = std::make_unique<ThreadPool>(num_threads);
+  // Phase 2 — re-count the (candidate, shard) pairs the shard did not
+  // mine, so every global support set is exact. A pair whose pattern
+  // uses an item outside the shard's domain has no rows there and is
+  // skipped; a shard with nothing left to count is never loaded again.
+  // Local sets go to a scratch arena rewound after every shard.
+  std::vector<std::vector<size_t>> recount(num_shards);
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    const Itemset& items = candidates[c].pattern.items;
+    for (size_t shard : candidates[c].unmined_shards) {
+      if (items[items.size() - 1] < shard_domains[shard]) {
+        recount[shard].push_back(c);
+      }
+    }
   }
   Arena recount_scratch;
-  for (size_t i = 0; i < manifest_.shards.size(); ++i) {
+  for (size_t i = 0; i < num_shards; ++i) {
+    if (recount[i].empty()) continue;
     StatusOr<LoadedShard> shard = LoadShard(i, estimates[i]);
     if (!shard.ok()) return shard.status();
-    const TransactionDatabase& shard_db = *shard->db;
     const int64_t offset = manifest_.shards[i].row_begin;
-    ParallelFor(workers.get(), static_cast<int64_t>(candidates.size()),
-                [&](int64_t c) {
-                  const Bitvector local =
-                      ShardSupportSet(shard_db,
-                                      candidates[static_cast<size_t>(c)],
-                                      &recount_scratch);
-                  global_support[static_cast<size_t>(c)].OrWithShifted(
-                      local, offset);
-                });
+    for (size_t c : recount[i]) {
+      Pattern& pattern = candidates[c].pattern;
+      pattern.support_set.OrWithShifted(
+          shard->db->SupportSet(pattern.items, &recount_scratch), offset);
+    }
     recount_scratch.Reset();
   }
   RecordArenaPeak(residency_.trace, recount_scratch);
 
-  // Phase 3 — keep the globally frequent candidates and order them the
-  // way the level-wise miners enumerate (size, then lexicographic), so
-  // the exact pool is positionally identical to BuildInitialPool's.
+  // Phase 3 — keep the globally frequent candidates. They are already in
+  // pool order, so the exact pool is positionally identical to
+  // BuildInitialPool's.
   std::vector<Pattern> pool;
-  for (size_t c = 0; c < candidates.size(); ++c) {
-    const int64_t support = global_support[c].Count();
-    if (support < min_support) continue;
-    Pattern pattern;
-    pattern.items = candidates[c];
-    pattern.support_set = std::move(global_support[c]);
-    pattern.support = support;
-    pool.push_back(std::move(pattern));
+  for (Candidate& candidate : candidates) {
+    candidate.pattern.support = candidate.pattern.support_set.Count();
+    if (candidate.pattern.support >= min_support) {
+      pool.push_back(std::move(candidate.pattern));
+    }
   }
+  candidates = {};
   if (pool.empty()) {
     return Status::FailedPrecondition(
         "no globally frequent patterns at min_support_count " +
         std::to_string(min_support));
   }
-  std::sort(pool.begin(), pool.end(), [](const Pattern& a, const Pattern& b) {
-    if (a.size() != b.size()) return a.size() < b.size();
-    return a.items < b.items;
-  });
   stitch_timer.Stop();
 
   // Phase 4 — the shared fusion pipeline. For kExact the pool is the

@@ -30,32 +30,37 @@ namespace colossal {
 //     Partition-scaled local threshold ⌊σ·|D_i|⌋ (Savasere-style: any
 //     globally frequent itemset is locally frequent in at least one
 //     shard, so the union of per-shard results is a candidate superset
-//     of the global initial pool). A re-count pass then stitches each
-//     candidate's per-shard support sets into its exact global support
-//     set (Bitvector::OrWithShifted at the shard's row offset) and
-//     drops globally infrequent candidates — recovering the global
-//     initial pool, in the same (size, lexicographic) order the level-
-//     wise miners enumerate. FuseColossalFromPool then runs the
+//     of the global initial pool) and hands over its patterns in
+//     (size, lexicographic) order with their shard-local support sets
+//     (MinePoolPatterns). A sorted merge in manifest order ORs each
+//     local set into the candidate's global support set
+//     (Bitvector::OrWithShifted at the shard's row offset); a re-count
+//     pass then counts only the (candidate, shard) pairs the shard did
+//     not mine, and globally infrequent candidates are dropped —
+//     recovering the global initial pool, already in the order the
+//     level-wise miners enumerate. FuseColossalFromPool then runs the
 //     identical fusion pipeline, so results, iteration stats and cache
 //     entries are interchangeable with unsharded mining.
 //
 //   kFuse — the approximate mode for datasets too large to ever re-mine
 //     whole: each shard runs full MineColossal locally, the per-shard
-//     colossal patterns are treated as core patterns, their global
-//     supports are recovered by the same re-count pass (dropping
-//     globally infrequent ones), and FusionEngine fuses the union. The
-//     answer approximates the global colossal patterns without any
-//     single pass over an unsharded pool.
+//     colossal patterns (with their local support sets, sorted into the
+//     same order) are treated as core patterns, their global supports
+//     are recovered by the same merge and re-count (dropping globally
+//     infrequent ones), and FusionEngine fuses the union. The answer
+//     approximates the global colossal patterns without any single pass
+//     over an unsharded pool.
 //
 // Both modes are deterministic for any thread count and any shard
 // parallelism: per-shard results are collected by shard index (never
 // completion order) and merged in manifest order, per-shard miners are
 // themselves thread-count invariant with RNG streams derived from the
-// options alone (never from scheduling), and candidates keep
-// first-appearance order until the final deterministic sort — so exact
-// mode stays byte-identical to both the sequential sharded walk and
-// unsharded MineColossal, and fuse mode is identical across shard
-// parallelism and thread counts.
+// options alone (never from scheduling), and the merge keeps the
+// candidates in pool order — so exact mode stays byte-identical to both
+// the sequential sharded walk and unsharded MineColossal, and fuse mode
+// is identical across shard parallelism and thread counts. The
+// concurrent shard jobs split the request's threads between them: each
+// runs its miner at max(1, resolved num_threads / fan-out).
 
 enum class ShardMergeMode {
   kExact,
@@ -139,11 +144,13 @@ using ShardLoader = std::function<StatusOr<LoadedShard>(
 struct ShardResidencyOptions {
   int64_t budget_bytes = 0;
 
-  // Optional per-request trace: the miner accumulates phase-1 mining
-  // wall time into kPoolMine, the re-count + candidate filter into
+  // Optional per-request trace: the miner accumulates phase-1 wall time
+  // (the shard jobs and the sorted merge of their pools) into kPoolMine,
+  // the re-count of unmined pairs + the global frequency filter into
   // kStitch, and the final fusion into kFusion; it stores the phase-1
-  // fan-out it resolved into shard_parallelism, and CAS-maxes every
-  // per-shard mining arena and the re-count scratch arena into
+  // fan-out it resolved into shard_parallelism, sums the exact-mode
+  // shard miners' expanded nodes into pool_nodes_expanded, and CAS-maxes
+  // every per-shard mining arena and the re-count scratch arena into
   // arena_peak_bytes. Registry/admission time inside the loader is the
   // *loader's* to attribute (the service times it as kRegistry from
   // inside its loader lambda), so for a parallel fan-out it overlaps the
@@ -167,12 +174,12 @@ class ShardedMiner {
   // transaction count; num_threads, shard_parallelism and pool_miner are
   // pure execution knobs, read from `options` as given).
   //
-  // `arena`, when given, backs the cross-shard phases (the stitched
+  // `arena`, when given, backs the cross-shard phases (the merged
   // global support sets and fusion scratch) exactly as MineColossal's
   // arena parameter does; phase-1 shard jobs always use their own
-  // short-lived arenas, one per job, freed when the job ends. Result
-  // patterns are heap-backed either way, and output is byte-identical
-  // with or without an arena.
+  // short-lived arenas, one per job, freed once the job's pool has been
+  // merged. Result patterns are heap-backed either way, and output is
+  // byte-identical with or without an arena.
   StatusOr<ColossalMiningResult> Mine(const ColossalMinerOptions& options,
                                       ShardMergeMode mode,
                                       Arena* arena = nullptr) const;

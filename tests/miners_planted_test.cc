@@ -57,8 +57,9 @@ TEST_P(PlantedMinerTest, FrequentMinersReportThePlantedPattern) {
   // noise; the planted pattern itself must still appear.
   options.max_pattern_size = planted_.size();
 
-  for (auto miner : {MineApriori, MineEclat, MineFpGrowth}) {
-    StatusOr<MiningResult> result = miner(db_, options);
+  for (const StatusOr<MiningResult>& result :
+       {MineApriori(db_, options), MineEclat(db_, options),
+        MineFpGrowth(db_, options)}) {
     ASSERT_TRUE(result.ok());
     EXPECT_TRUE(ContainsPattern(*result, planted_));
   }

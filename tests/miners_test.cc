@@ -379,6 +379,46 @@ TEST(EclatTest, MatchesAprioriOnFigure3WithSizeBound) {
   EXPECT_EQ(Sorted(eclat->patterns), Sorted(apriori->patterns));
 }
 
+// Search-node counts on a fixed generated input, at any thread count.
+// Apriori counts the candidates that pass its prefix and subset checks;
+// Eclat counts every tidset probe, and probes only below the size bound
+// — so at size 2 both count the 24 items plus every pair of frequent
+// items, and at size 3 Eclat adds only the triples Apriori prunes by a
+// subset.
+TEST(MinerNodeCountTest, PinnedOnAFixedRandomInput) {
+  RandomDatabaseOptions db_options;
+  db_options.num_transactions = 200;
+  db_options.num_items = 24;
+  db_options.density = 0.35;
+  db_options.seed = 5;
+  const TransactionDatabase db = MakeRandomDatabase(db_options);
+  struct Case {
+    int max_size;
+    size_t patterns;
+    int64_t apriori_nodes;
+    int64_t eclat_nodes;
+  };
+  for (const Case& c : {Case{2, 299, 300, 300}, Case{3, 369, 2302, 2306}}) {
+    for (int threads : {1, 4}) {
+      MinerOptions options;
+      options.min_support_count = 14;
+      options.max_pattern_size = c.max_size;
+      options.num_threads = threads;
+      StatusOr<MiningResult> apriori = MineApriori(db, options);
+      StatusOr<MiningResult> eclat = MineEclat(db, options);
+      ASSERT_TRUE(apriori.ok());
+      ASSERT_TRUE(eclat.ok());
+      EXPECT_EQ(apriori->patterns.size(), c.patterns) << c.max_size;
+      EXPECT_EQ(Sorted(eclat->patterns), Sorted(apriori->patterns))
+          << c.max_size;
+      EXPECT_EQ(apriori->stats.nodes_expanded, c.apriori_nodes)
+          << c.max_size << " threads=" << threads;
+      EXPECT_EQ(eclat->stats.nodes_expanded, c.eclat_nodes)
+          << c.max_size << " threads=" << threads;
+    }
+  }
+}
+
 TEST(FpGrowthTest, HandlesSingleTransaction) {
   StatusOr<TransactionDatabase> db =
       TransactionDatabase::FromTransactions({{2, 5, 9}});

@@ -2,15 +2,19 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/arena.h"
 #include "common/rng.h"
 #include "core/pattern_distance.h"
 #include "core/pattern_pool.h"
 #include "data/generators.h"
+#include "mining/apriori.h"
+#include "mining/eclat.h"
 
 namespace colossal {
 namespace {
@@ -682,6 +686,71 @@ TEST(BuildInitialPoolTest, AprioriAndEclatPoolsAreIdentical) {
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
   EXPECT_EQ(a, b);
+}
+
+// BuildInitialPool hands over the support sets the miner computed. The
+// pool must equal the one re-derived from the database — the miner's
+// itemsets in (size, lexicographic) order, each with db.SupportSet —
+// for either miner, any thread count, arena or heap, with or without a
+// vocabulary constraint.
+TEST(BuildInitialPoolTest, HandedOverPoolEqualsTheRederivedOne) {
+  RandomDatabaseOptions random;
+  random.num_transactions = 80;
+  random.num_items = 14;
+  random.density = 0.4;
+  random.seed = 11;
+  const TransactionDatabase db = MakeRandomDatabase(random);
+  constexpr int64_t kMinSupport = 5;
+  constexpr int kMaxSize = 3;
+  MiningConstraints include_only;
+  include_only.include = {0, 2, 3, 5, 8, 9, 11, 13};
+  MiningConstraints exclude_only;
+  exclude_only.exclude = {1, 4, 7};
+
+  for (PoolMiner miner : {PoolMiner::kApriori, PoolMiner::kEclat}) {
+    for (int threads : {1, 4}) {
+      for (bool with_arena : {false, true}) {
+        for (const MiningConstraints& constraints :
+             {MiningConstraints(), include_only, exclude_only}) {
+          MinerOptions options;
+          options.min_support_count = kMinSupport;
+          options.max_pattern_size = kMaxSize;
+          options.num_threads = threads;
+          options.constraints = constraints;
+          StatusOr<MiningResult> mined = miner == PoolMiner::kApriori
+                                             ? MineApriori(db, options)
+                                             : MineEclat(db, options);
+          ASSERT_TRUE(mined.ok());
+          SortPatterns(&mined->patterns);
+          const std::vector<Pattern> expected =
+              MakePatterns(db, mined->patterns);
+
+          Arena arena;
+          StatusOr<std::vector<Pattern>> pool = BuildInitialPool(
+              db, kMinSupport, kMaxSize, miner, threads,
+              with_arena ? &arena : nullptr, constraints);
+          ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+          const std::string where =
+              std::string(miner == PoolMiner::kApriori ? "apriori" : "eclat") +
+              " threads=" + std::to_string(threads) +
+              " arena=" + std::to_string(with_arena) +
+              " include=" + std::to_string(constraints.include.size()) +
+              " exclude=" + std::to_string(constraints.exclude.size());
+          // Every level is exercised, up to the size bound.
+          ASSERT_FALSE(pool->empty()) << where;
+          EXPECT_EQ(pool->back().size(), kMaxSize) << where;
+          ASSERT_EQ(pool->size(), expected.size()) << where;
+          for (size_t i = 0; i < expected.size(); ++i) {
+            EXPECT_TRUE((*pool)[i] == expected[i])
+                << where << " pattern " << i << " "
+                << expected[i].items.ToString();
+            EXPECT_EQ((*pool)[i].support_set.arena_backed(), with_arena)
+                << where << " pattern " << i;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(BuildInitialPoolTest, FailsWhenNothingIsFrequent) {

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <limits>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -123,6 +124,124 @@ TEST_F(ShardedMinerTest, ExactIsByteIdenticalAcrossShardAndThreadCounts) {
       }
     }
   }
+}
+
+// With k at least the pool size, fusion converges before its first
+// iteration and returns the initial pool itself, support sets included.
+// That exposes the pool the sorted merge and re-count recover, so exact
+// mode is checked against the unsharded pool pattern by pattern, not
+// only through the fused answer. Besides the suite's DiagPlus manifests,
+// a random database split 3 ways has uneven local supports: some
+// candidates are first mined by a higher shard while a lower shard holds
+// rows of them below its threshold.
+TEST_F(ShardedMinerTest, ExactRecoversTheUnshardedPoolPatternByPattern) {
+  RandomDatabaseOptions random_options;
+  random_options.num_transactions = 90;
+  random_options.num_items = 12;
+  random_options.density = 0.35;
+  random_options.seed = 4;
+  const TransactionDatabase random_db = MakeRandomDatabase(random_options);
+  ShardPlanOptions plan_options;
+  plan_options.num_shards = 3;
+  StatusOr<std::vector<ShardRange>> plan = PlanShards(random_db, plan_options);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  StatusOr<ShardWriteResult> written =
+      WriteShardedSnapshots(random_db, *plan, *dir_, "sharded_random_3");
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+
+  struct Fixture {
+    const TransactionDatabase* db;
+    std::vector<std::string> manifest_paths;
+    int64_t min_support;
+  };
+  const Fixture fixtures[] = {{db_, *manifest_paths_, 8},
+                              {&random_db, {written->manifest_path}, 9}};
+
+  // (candidate, shard) pairs the shard did not mine, judged from the
+  // shards' own miner results: re-counted on the loaded shard when the
+  // shard lies above, resp. below, the first shard that mined the
+  // candidate, and skipped when the candidate uses an item outside the
+  // shard's domain.
+  int64_t recounted_above = 0;
+  int64_t recounted_below = 0;
+  int64_t out_of_domain = 0;
+  for (const Fixture& fixture : fixtures) {
+    for (PoolMiner pool_miner : {PoolMiner::kApriori, PoolMiner::kEclat}) {
+      ColossalMinerOptions options = BaseOptions();
+      options.min_support_count = fixture.min_support;
+      options.k = 1 << 20;
+      options.pool_miner = pool_miner;
+      StatusOr<ColossalMiningResult> reference =
+          MineColossal(*fixture.db, options);
+      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+      ASSERT_EQ(reference->iterations, 0);
+      ASSERT_EQ(static_cast<int64_t>(reference->patterns.size()),
+                reference->initial_pool_size);
+
+      for (const std::string& manifest_path : fixture.manifest_paths) {
+        StatusOr<ShardManifest> manifest =
+            ReadShardManifestFile(manifest_path);
+        ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+        ShardedMiner miner(*manifest, DiskLoader());
+        for (int fan_out : {1, 4}) {
+          options.shard_parallelism = fan_out;
+          StatusOr<ColossalMiningResult> sharded =
+              miner.Mine(options, ShardMergeMode::kExact);
+          ASSERT_TRUE(sharded.ok())
+              << manifest_path << ": " << sharded.status().ToString();
+          EXPECT_EQ(sharded->iterations, 0);
+          ASSERT_EQ(sharded->patterns.size(), reference->patterns.size())
+              << manifest_path << " fan-out=" << fan_out;
+          for (size_t i = 0; i < reference->patterns.size(); ++i) {
+            EXPECT_TRUE(sharded->patterns[i] == reference->patterns[i])
+                << manifest_path << " fan-out=" << fan_out << " pattern "
+                << i << " " << reference->patterns[i].items.ToString();
+          }
+        }
+
+        std::set<Itemset> candidates;
+        std::vector<std::set<Itemset>> mined_by_shard;
+        std::vector<ItemId> shard_domains;
+        for (const ShardInfo& info : manifest->shards) {
+          StatusOr<TransactionDatabase> shard = ReadSnapshotFile(info.path);
+          ASSERT_TRUE(shard.ok()) << shard.status().ToString();
+          MinerOptions local;
+          local.min_support_count = ShardLocalMinSupport(
+              options.min_support_count, info.rows(),
+              manifest->num_transactions);
+          local.max_pattern_size = options.initial_pool_max_size;
+          StatusOr<std::vector<Pattern>> pool =
+              MinePoolPatterns(*shard, pool_miner, local);
+          ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+          mined_by_shard.emplace_back();
+          for (const Pattern& pattern : *pool) {
+            candidates.insert(pattern.items);
+            mined_by_shard.back().insert(pattern.items);
+          }
+          shard_domains.push_back(shard->num_items());
+        }
+        for (const Itemset& candidate : candidates) {
+          size_t first_miner = 0;
+          while (mined_by_shard[first_miner].count(candidate) == 0) {
+            ++first_miner;
+          }
+          for (size_t s = 0; s < mined_by_shard.size(); ++s) {
+            if (mined_by_shard[s].count(candidate) != 0) continue;
+            if (candidate[candidate.size() - 1] >= shard_domains[s]) {
+              ++out_of_domain;
+            } else if (s > first_miner) {
+              ++recounted_above;
+            } else {
+              ++recounted_below;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(recounted_above, 0);
+  EXPECT_GT(recounted_below, 0);
+  EXPECT_GT(out_of_domain, 0);
 }
 
 TEST_F(ShardedMinerTest, ArenaBackedMineIsByteIdenticalAndRecordsPeaks) {
