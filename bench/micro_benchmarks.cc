@@ -275,8 +275,8 @@ BENCHMARK(BM_MineColossalArena)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // --- Request modes ----------------------------------------------------------
 //
-// The two request-grammar modes end to end. Results are recorded in
-// BENCH_modes.json; refresh with --benchmark_filter='TopK|Constrained'.
+// The two request-grammar modes end to end. Run with
+// --benchmark_filter='TopK|Constrained'.
 
 // Top-k truncation vs. the equivalent full-K run: Arg is the requested
 // top_k (0 = the k=40 baseline). The answer is a prefix of the
@@ -333,9 +333,9 @@ BENCHMARK(BM_ConstrainedMine)
 
 // --- Thread scaling ---------------------------------------------------------
 // The fig10-style workload (microarray stand-in, pool bound 2, τ = 0.5,
-// K = 100) at 1/2/4/N threads. Results are recorded in BENCH_threads.json;
-// run with --benchmark_filter=ThreadScaling to refresh them. Output is
-// bit-identical across thread counts, so these measure pure speedup.
+// K = 100) at 1/2/4/N threads. Run with
+// --benchmark_filter=ThreadScaling. Output is bit-identical across
+// thread counts, so these measure pure speedup.
 // The work runs on pool workers, not the benchmark thread, so every
 // threaded bench times wall clock (UseRealTime): main-thread CPU time
 // would shrink as workers take over and inflate the reported rates.
@@ -417,8 +417,7 @@ BENCHMARK(BM_ThreadScalingPoolBuild)->Apply(ThreadArgs)
 // The request path of src/service/: what a request costs when it misses
 // everything (disk load + index build + mine), when the dataset registry
 // already holds the database, and when the result cache already holds the
-// answer. Results are recorded in BENCH_service.json; refresh with
-// --benchmark_filter=Service. The ISSUE-2 acceptance ratio is
+// answer. Run with --benchmark_filter=Service; the ratio of interest is
 // BM_ServiceMineCold / BM_ServiceResultCacheHit.
 
 // One on-disk dataset pair shared by the service benches, written once.
@@ -525,8 +524,8 @@ BENCHMARK(BM_ServiceResultCacheHit);
 // --- Sharding ---------------------------------------------------------------
 // The sharded mining path of src/shard/: the stitch kernel, manifest
 // planning/writing, and exact sharded mining vs. the unsharded
-// reference at several shard counts. Results are recorded in
-// BENCH_shard.json; refresh with --benchmark_filter=Shard.
+// reference at several shard counts. Run with
+// --benchmark_filter=Shard.
 
 void BM_ShardStitchSupportSet(benchmark::State& state) {
   // One OrWithShifted of a 1/8-size shard slice into a global support
@@ -636,8 +635,7 @@ BENCHMARK(BM_ShardedMineExact)->Arg(1)->Arg(2)->Arg(4)
 // Fan-out sweep: the 4-shard manifest mined cold at shard-parallelism
 // {1, 2, 4}. On multi-core the cold wall-time should drop as
 // parallelism grows (flat on a single-CPU host); output is
-// byte-identical throughout, asserted by sharded_miner_test. Results
-// are recorded in BENCH_shard_fanout.json; refresh with
+// byte-identical throughout, asserted by sharded_miner_test. Run with
 // --benchmark_filter=ShardedMineFanOut.
 void BM_ShardedMineFanOut(benchmark::State& state) {
   const ShardBenchFixture& fixture = ShardFixture();

@@ -393,6 +393,5 @@ int HttpServer::port() const { return server_->port(); }
 void HttpServer::RequestStop() { server_->RequestStop(); }
 void HttpServer::Wait() { server_->Wait(); }
 void HttpServer::Shutdown() { server_->Shutdown(); }
-TcpServerStats HttpServer::stats() const { return server_->stats(); }
 
 }  // namespace colossal

@@ -77,8 +77,9 @@ struct HttpServerOptions {
   int64_t max_header_bytes = 32 << 10;  // whole head incl. request line
   int64_t max_body_bytes = 4 << 20;
 
-  // Registry the colossal_http_* metrics live in; the server owns a
-  // private one when null.
+  // Registry the colossal_http_* metrics live in: the responses and
+  // errors counters, plus the transport's (TcpServerOptions::metrics)
+  // under the same prefix. The server owns a private one when null.
   MetricsRegistry* metrics = nullptr;
   std::string metric_prefix = "colossal_http";
 };
@@ -115,11 +116,6 @@ class HttpServer {
   void RequestStop();  // async-signal-safe
   void Wait();
   void Shutdown();
-
-  // The underlying transport counters (accepted / rejected /
-  // dispatched / framing rejects / active), registered under
-  // metric_prefix.
-  TcpServerStats stats() const;
 
  private:
   ServerReply HandleRaw(const std::string& raw);

@@ -200,16 +200,6 @@ void TcpServer::Shutdown() {
   Wait();
 }
 
-TcpServerStats TcpServer::stats() const {
-  TcpServerStats stats;
-  stats.accepted = accepted_->value();
-  stats.rejected = rejected_->value();
-  stats.lines_dispatched = lines_dispatched_->value();
-  stats.oversized_lines = oversized_lines_->value();
-  stats.active_connections = active_connections_->value();
-  return stats;
-}
-
 void TcpServer::WakeLoop() {
   const char byte = 'x';
   // EAGAIN means the pipe already holds a pending wakeup.

@@ -103,8 +103,9 @@ struct TcpServerOptions {
 
   // Registry the server metrics live in; the server owns a private one
   // when null. metric_prefix names the series ("colossal_tcp" →
-  // colossal_tcp_accepted_total, ...), so a TCP and an HTTP front end
-  // sharing one registry keep distinct counters.
+  // colossal_tcp_{accepted,rejected,lines_dispatched,oversized_lines}_total
+  // and colossal_tcp_active_connections), so a TCP and an HTTP front
+  // end sharing one registry keep distinct counters.
   MetricsRegistry* metrics = nullptr;
   std::string metric_prefix = "colossal_tcp";
 };
@@ -118,14 +119,6 @@ struct ServerReply {
   // Gracefully stop the whole server after the flush (the protocol's
   // "shutdown" command).
   bool shutdown_server = false;
-};
-
-struct TcpServerStats {
-  int64_t accepted = 0;
-  int64_t rejected = 0;          // over max_connections
-  int64_t lines_dispatched = 0;  // handler jobs started
-  int64_t oversized_lines = 0;
-  int64_t active_connections = 0;
 };
 
 class TcpServer {
@@ -162,10 +155,6 @@ class TcpServer {
   // are flushed (bounded by a short drain deadline) before sockets
   // close.
   void Shutdown();
-
-  // Snapshot of the server's registry metrics (each field an atomic
-  // counter/gauge, so reading never contends with the event loop).
-  TcpServerStats stats() const;
 
  private:
   // All fields owned by the event-loop thread.
@@ -249,7 +238,7 @@ class TcpServer {
     uint64_t seq = 0;  // request number within the connection
     ServerReply reply;
   };
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::vector<Completion> completions_;
 
   // Last: destroyed first, so handler jobs drain while the rest of the

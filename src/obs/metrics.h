@@ -11,10 +11,11 @@
 
 namespace colossal {
 
-// The unified observability layer: every counter the serving stack used
-// to keep in ad-hoc structs (TcpServerStats, registry evictions, cache
-// hits, arena peaks) now lives in one MetricsRegistry, alongside the
-// per-phase latency histograms the tracing layer (obs/trace.h) feeds.
+// The unified observability layer: every counter the serving stack
+// keeps (transport connections, registry evictions, cache hits, arena
+// peaks) lives in one MetricsRegistry, alongside the per-phase latency
+// histograms the tracing layer (obs/trace.h) feeds, and is read back by
+// its exposition name — by tests and tools as much as by operators.
 // One renderer turns the whole registry into Prometheus-style text
 // exposition — what the `metrics` control word returns over both the
 // daemon and TCP framings, and what the HTTP front end serves at
@@ -24,9 +25,9 @@ namespace colossal {
 // Cost model: metric updates are single relaxed atomic RMWs (a counter
 // increment or one histogram-bucket increment), so they are safe to
 // leave always-on in the hot serving path; the Metrics bench section
-// tracks the per-op cost. Reads (stats snapshots, exposition) are
-// lock-free over the same atomics; a snapshot taken while writers run
-// is per-field atomic, not a cross-field transaction.
+// tracks the per-op cost. Reads (by-name lookups, exposition) take only
+// the name-map lock, never one a writer holds; values read while
+// writers run are each atomic, not a cross-metric transaction.
 
 // Monotonically increasing counter. Relaxed atomics: increments are
 // never used to order other memory operations.
@@ -143,7 +144,7 @@ class MetricsRegistry {
                const std::string& labels);
 
   // Value lookups by name (0 / nullptr when absent or of another type);
-  // what FormatStatsLine renders the legacy stats line from.
+  // what the stats line, colossal_serve's summaries and tests read.
   int64_t CounterValue(std::string_view name) const;
   int64_t GaugeValue(std::string_view name) const;
   const Histogram* FindHistogram(std::string_view name) const;

@@ -384,27 +384,6 @@ void DatasetRegistry::Invalidate(const std::string& path) {
   admission_cv_.notify_all();
 }
 
-DatasetRegistryStats DatasetRegistry::stats() const {
-  DatasetRegistryStats stats;
-  stats.loads = loads_->value();
-  stats.hits = hits_->value();
-  stats.evictions = evictions_->value();
-  stats.stale_reloads = stale_reloads_->value();
-  stats.admission_waits = admission_waits_->value();
-  stats.sniff_cache_hits = sniff_cache_hits_->value();
-  stats.reaps = reaps_->value();
-  stats.reap_pending = reap_pending_gauge_->value();
-  stats.peak_resident_bytes = peak_resident_bytes_gauge_->value();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats.resident_bytes = resident_bytes_;
-    stats.resident_datasets = static_cast<int64_t>(entries_.size());
-    stats.reserved_bytes = reserved_bytes_;
-    stats.pinned_bytes = pinned_bytes_;
-  }
-  return stats;
-}
-
 void DatasetRegistry::RegisterLoadedLocked(
     const std::string& key, std::shared_ptr<const TransactionDatabase> db,
     uint64_t fingerprint, const FileSignature& signature) {

@@ -41,43 +41,6 @@ struct DatasetRegistryOptions {
   MetricsRegistry* metrics = nullptr;
 };
 
-struct DatasetRegistryStats {
-  int64_t loads = 0;       // disk loads (misses), manifests included
-  int64_t hits = 0;        // served from memory, manifests included
-  int64_t evictions = 0;
-  int64_t stale_reloads = 0;  // hits invalidated by a changed signature
-  int64_t resident_bytes = 0;
-  int64_t resident_datasets = 0;
-  // High-water mark of resident_bytes. Eviction makes room *before* a
-  // new dataset is admitted and GetPinned reserves its estimate
-  // *before* it loads (reservations gate admission but are not counted
-  // here — they deliberately over-estimate), so while serving a sharded
-  // dataset whose total exceeds the budget — even with shards loading
-  // concurrently — this never passes the budget. Two bounded
-  // exceptions: a single dataset larger than the budget still loads
-  // (and owns the whole budget), and a plain Get landing while pins
-  // hold bytes it cannot evict may overshoot by at most pinned_bytes —
-  // plain Get never blocks, by design (see Get vs. GetPinned).
-  int64_t peak_resident_bytes = 0;
-  // Bytes reserved by in-flight GetPinned loads (admitted, not yet
-  // resident) and currently pinned resident bytes.
-  int64_t reserved_bytes = 0;
-  int64_t pinned_bytes = 0;
-  // GetPinned admissions that had to wait for pins/reservations to
-  // drain before their reservation fit the budget.
-  int64_t admission_waits = 0;
-  // Evicted databases destroyed by the background reaper, and how many
-  // are queued for it right now (an eviction hands the evicted
-  // shared_ptr to a reaper thread, so the destruction — potentially
-  // hundreds of MB of frees — never runs on a Get path under the
-  // registry mutex; the byte accounting itself stays synchronous).
-  int64_t reaps = 0;
-  int64_t reap_pending = 0;
-  // Manifest-sniff verdicts served from the signature-keyed cache
-  // (a single stat instead of an open+read of the magic bytes).
-  int64_t sniff_cache_hits = 0;
-};
-
 // Signature of the on-disk file backing a registry entry, captured just
 // before the load. Get re-stats on every hit and reloads when the
 // signature moved, so a rewritten dataset is picked up automatically.
@@ -160,7 +123,7 @@ class DatasetRegistry {
   // Whether `path` is a shard manifest, with the verdict cached by the
   // file's (size, mtime) signature: a warm call is a single stat(2)
   // instead of an open+read of the magic bytes (counted in
-  // sniff_cache_hits). A rewritten file re-sniffs automatically; a
+  // sniff_cache_hits_). A rewritten file re-sniffs automatically; a
   // vanished file never matches a stored signature and re-sniffs too.
   // The cache is bounded (paths come from untrusted request lines): a
   // full map resets, and oversized paths are never cached.
@@ -181,11 +144,6 @@ class DatasetRegistry {
   // remains for out-of-band invalidation (e.g. a mount whose mtimes are
   // not trustworthy).
   void Invalidate(const std::string& path);
-
-  // Snapshot of the registry's metrics. Monotonic counters are atomic;
-  // the byte-accounting fields are copied under the registry mutex so
-  // resident/reserved/pinned are mutually consistent.
-  DatasetRegistryStats stats() const;
 
  private:
   // RAII release of a GetPinned budget reservation (defined in the
@@ -258,7 +216,7 @@ class DatasetRegistry {
   void ReapLoop();
 
   // Updates the peak-resident gauge from resident_bytes_.
-  // Reservations are deliberately not counted (see the stats doc) —
+  // Reservations are deliberately not counted (see the gauge's doc) —
   // they over-estimate, and their room was already evicted ahead.
   void NotePeakLocked();
 
@@ -270,20 +228,50 @@ class DatasetRegistry {
 
   const DatasetRegistryOptions options_;
   std::unique_ptr<MetricsRegistry> owned_metrics_;  // when options.metrics null
+  // The metrics, by the names the constructor registers:
+  // colossal_dataset_{loads,hits}_total count disk loads and memory
+  // hits, manifests included; colossal_dataset_stale_reloads_total
+  // counts hits invalidated by a changed signature.
   Counter* loads_;
   Counter* hits_;
   Counter* evictions_;
   Counter* stale_reloads_;
+  // colossal_admission_waits_total: GetPinned admissions that had to
+  // wait for pins/reservations to drain before their reservation fit
+  // the budget.
   Counter* admission_waits_;
+  // colossal_sniff_cache_hits_total: manifest-sniff verdicts served
+  // from the signature-keyed cache (a single stat instead of an
+  // open+read of the magic bytes).
   Counter* sniff_cache_hits_;
+  // colossal_dataset_reaps_total / colossal_dataset_reap_pending:
+  // evicted databases destroyed by the background reaper, and how many
+  // are queued for it right now (an eviction hands the evicted
+  // shared_ptr to a reaper thread, so the destruction — potentially
+  // hundreds of MB of frees — never runs on a Get path under the
+  // registry mutex; the byte accounting itself stays synchronous).
   Counter* reaps_;
   Gauge* reap_pending_gauge_;
   Gauge* resident_bytes_gauge_;
+  // colossal_dataset_peak_resident_bytes: high-water mark of resident
+  // bytes. Eviction makes room *before* a new dataset is admitted and
+  // GetPinned reserves its estimate *before* it loads (reservations
+  // gate admission but are not counted here — they deliberately
+  // over-estimate), so while serving a sharded dataset whose total
+  // exceeds the budget — even with shards loading concurrently — this
+  // never passes the budget. Two bounded exceptions: a single dataset
+  // larger than the budget still loads (and owns the whole budget), and
+  // a plain Get landing while pins hold bytes it cannot evict may
+  // overshoot by at most the pinned bytes — plain Get never blocks, by
+  // design (see Get vs. GetPinned).
   Gauge* peak_resident_bytes_gauge_;
+  // colossal_dataset_{reserved,pinned}_bytes: bytes reserved by
+  // in-flight GetPinned loads (admitted, not yet resident) and
+  // currently pinned resident bytes.
   Gauge* reserved_bytes_gauge_;
   Gauge* pinned_bytes_gauge_;
   Gauge* resident_datasets_gauge_;
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   // Admission waiters (GetPinned) blocked on pins/reservations draining.
   std::condition_variable admission_cv_;
   std::unordered_map<std::string, Entry> entries_;  // key: path \n format

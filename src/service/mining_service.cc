@@ -468,37 +468,42 @@ MiningResponse MiningService::Execute(const MineRequest& request,
     response.shards = static_cast<int>(prep.manifest->shards.size());
   }
 
+  // Serve from the cache, join an identical in-flight request, or
+  // become the runner for one. "Not cached" and "not in flight" are one
+  // decision under inflight_mutex_, and a runner caches its result
+  // before it leaves the in-flight table, so two identical requests
+  // never both mine. Lock order: inflight_mutex_, then the cache's.
+  // A key collision with different canonical options (verified below)
+  // mines standalone: correct result, just no dedup for that request.
+  std::shared_ptr<const ColossalMiningResult> cached;
+  std::shared_ptr<Inflight> job;
+  bool runner = false;
+  bool standalone = false;
   PhaseTimer cache_timer(trace, TracePhase::kCacheLookup);
-  std::shared_ptr<const ColossalMiningResult> cached =
-      cache_.Get(prep.key, prep.canonical.options);
+  {
+    std::lock_guard<std::mutex> lock(inflight_mutex_);
+    cached = cache_.Get(prep.key, prep.canonical.options);
+    if (cached == nullptr) {
+      auto it = inflight_.find(prep.key);
+      if (it == inflight_.end()) {
+        job = std::make_shared<Inflight>();
+        job->canonical = prep.canonical.options;
+        inflight_.emplace(prep.key, job);
+        inflight_gauge_->Set(static_cast<int64_t>(inflight_.size()));
+        runner = true;
+      } else if (it->second->canonical == prep.canonical.options) {
+        job = it->second;
+      } else {
+        standalone = true;
+      }
+    }
+  }
   cache_timer.Stop();
   if (cached != nullptr) {
     response.result = std::move(cached);
     response.source = ResponseSource::kCache;
     response.seconds = stopwatch.ElapsedSeconds();
     return response;
-  }
-
-  // Join an identical in-flight request, or become the runner for one.
-  // A key collision with different canonical options (verified below)
-  // mines standalone: correct result, just no dedup for that request.
-  std::shared_ptr<Inflight> job;
-  bool runner = false;
-  bool standalone = false;
-  {
-    std::lock_guard<std::mutex> lock(inflight_mutex_);
-    auto it = inflight_.find(prep.key);
-    if (it == inflight_.end()) {
-      job = std::make_shared<Inflight>();
-      job->canonical = prep.canonical.options;
-      inflight_.emplace(prep.key, job);
-      inflight_gauge_->Set(static_cast<int64_t>(inflight_.size()));
-      runner = true;
-    } else if (it->second->canonical == prep.canonical.options) {
-      job = it->second;
-    } else {
-      standalone = true;
-    }
   }
   if (standalone) {
     StatusOr<ColossalMiningResult> mined =
@@ -538,13 +543,13 @@ MiningResponse MiningService::Execute(const MineRequest& request,
     job->done = true;
   }
   job->done_cv.notify_all();
+  if (mined.ok()) {
+    cache_.Put(prep.key, prep.canonical.options, result);
+  }
   {
     std::lock_guard<std::mutex> lock(inflight_mutex_);
     inflight_.erase(prep.key);
     inflight_gauge_->Set(static_cast<int64_t>(inflight_.size()));
-  }
-  if (mined.ok()) {
-    cache_.Put(prep.key, prep.canonical.options, result);
   }
 
   response.status = mined.status();

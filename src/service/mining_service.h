@@ -159,12 +159,10 @@ class MiningService {
   std::vector<MiningResponse> MineBatch(
       const std::vector<MineRequest>& requests);
 
-  DatasetRegistryStats registry_stats() const { return registry_.stats(); }
-  ResultCacheStats cache_stats() const { return cache_.stats(); }
-
   // The registry all serving metrics live in (the service's own plus
   // the dataset registry's and result cache's, unless their sub-options
-  // pointed elsewhere). What the `metrics` control word renders.
+  // pointed elsewhere): what the `metrics` control word renders, and
+  // where callers read any counter by its exposition name.
   MetricsRegistry& metrics() { return *metrics_; }
   const MetricsRegistry& metrics() const { return *metrics_; }
 
@@ -192,11 +190,6 @@ class MiningService {
   // Adds one sample to a phase histogram directly; used by the dispatch
   // layer for the serialize phase, which runs after Mine returned.
   void RecordPhaseNanos(TracePhase phase, int64_t nanos);
-
-  // Largest arena high-water mark any mine has reached so far (bytes):
-  // the max over per-request arenas and every per-shard mining/re-count
-  // arena. What the stats line reports as arena_peak_mb.
-  int64_t arena_peak_bytes() const { return arena_peak_gauge_->value(); }
 
  private:
   // One in-flight mining job; identical concurrent requests wait on it.
@@ -295,6 +288,9 @@ class MiningService {
   Counter* responses_coalesced_;
   Counter* responses_failed_;
   Gauge* inflight_gauge_;
+  // colossal_arena_peak_bytes: the largest arena high-water mark any
+  // mine has reached so far, the max over per-request arenas and every
+  // per-shard mining/re-count arena (the stats line's arena_peak_mb).
   Gauge* arena_peak_gauge_;
   Counter* admission_rejected_;
   Gauge* admitted_mines_gauge_;

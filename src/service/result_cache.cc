@@ -60,16 +60,4 @@ void ResultCache::Put(const ResultCacheKey& key,
   entries_gauge_->Set(static_cast<int64_t>(entries_.size()));
 }
 
-ResultCacheStats ResultCache::stats() const {
-  ResultCacheStats stats;
-  stats.hits = hits_->value();
-  stats.misses = misses_->value();
-  stats.evictions = evictions_->value();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats.entries = static_cast<int64_t>(entries_.size());
-  }
-  return stats;
-}
-
 }  // namespace colossal

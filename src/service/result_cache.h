@@ -17,16 +17,10 @@ struct ResultCacheOptions {
   // Maximum cached results; least-recently-used beyond that. 0 disables
   // caching entirely (every Get misses, Put is a no-op).
   int64_t max_entries = 256;
-  // Registry the cache's colossal_result_cache_* metrics live in; the
+  // Registry the colossal_result_cache_{hits,misses,evictions}_total
+  // counters and the colossal_result_cache_entries gauge live in; the
   // cache owns a private one when null.
   MetricsRegistry* metrics = nullptr;
-};
-
-struct ResultCacheStats {
-  int64_t hits = 0;
-  int64_t misses = 0;
-  int64_t evictions = 0;
-  int64_t entries = 0;
 };
 
 // LRU cache of finished mining results, keyed by (dataset fingerprint,
@@ -53,10 +47,6 @@ class ResultCache {
   void Put(const ResultCacheKey& key, const ColossalMinerOptions& canonical,
            std::shared_ptr<const ColossalMiningResult> result);
 
-  // Snapshot of the cache's registry metrics. Counters are atomic, so
-  // the snapshot is per-field consistent even while workers mine.
-  ResultCacheStats stats() const;
-
  private:
   struct Entry {
     ColossalMinerOptions canonical;
@@ -70,7 +60,7 @@ class ResultCache {
   Counter* misses_;
   Counter* evictions_;
   Gauge* entries_gauge_;
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::unordered_map<ResultCacheKey, Entry, ResultCacheKeyHash> entries_;
   std::list<ResultCacheKey> lru_;  // MRU first
 };

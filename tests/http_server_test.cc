@@ -20,6 +20,8 @@
 #include <gtest/gtest.h>
 
 #include "net/socket_io.h"
+#include "obs/metrics.h"
+#include "tests/metrics_scrape.h"
 
 namespace colossal {
 namespace {
@@ -189,7 +191,10 @@ void ReadResponse(SocketReader& reader, ClientResponse* out) {
 }
 
 TEST(HttpServerTest, KeepAliveRoundTrips) {
-  auto server = StartEchoServer({});
+  MetricsRegistry metrics;
+  HttpServerOptions options;
+  options.metrics = &metrics;
+  auto server = StartEchoServer(options);
   StatusOr<int> fd = DialTcp("127.0.0.1", server->port());
   ASSERT_TRUE(fd.ok()) << fd.status().ToString();
   SocketReader reader(*fd);
@@ -207,7 +212,7 @@ TEST(HttpServerTest, KeepAliveRoundTrips) {
   }
   ::close(*fd);
   server->Shutdown();
-  EXPECT_EQ(server->stats().lines_dispatched, 3);
+  EXPECT_EQ(Scrape(metrics, "colossal_http_lines_dispatched_total"), 3);
 }
 
 TEST(HttpServerTest, ConnectionCloseIsHonored) {
@@ -379,9 +384,11 @@ TEST(HttpServerTest, PrematureDisconnectsAreHarmless) {
 }
 
 TEST(HttpServerTest, PipelinedMixKeepsEarlierRepliesAndClosesAfterError) {
+  MetricsRegistry metrics;
   HttpServerOptions options;
   options.num_threads = 2;
   options.max_pipeline = 8;
+  options.metrics = &metrics;
   auto server = StartEchoServer(options);
   StatusOr<int> fd = DialTcp("127.0.0.1", server->port());
   ASSERT_TRUE(fd.ok());
@@ -411,8 +418,8 @@ TEST(HttpServerTest, PipelinedMixKeepsEarlierRepliesAndClosesAfterError) {
   ::close(*fd);
   server->Shutdown();
   // Only the three answered requests were dispatched or faulted.
-  EXPECT_EQ(server->stats().lines_dispatched, 2);
-  EXPECT_EQ(server->stats().oversized_lines, 1);
+  EXPECT_EQ(Scrape(metrics, "colossal_http_lines_dispatched_total"), 2);
+  EXPECT_EQ(Scrape(metrics, "colossal_http_oversized_lines_total"), 1);
 }
 
 TEST(HttpServerTest, ConnectionLimitAnswers503WithRetryAfter) {

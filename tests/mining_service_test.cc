@@ -6,8 +6,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <chrono>
 #include <limits>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +26,7 @@
 #include "service/dispatch.h"
 #include "service/result_cache.h"
 #include "shard/shard_planner.h"
+#include "tests/metrics_scrape.h"
 
 namespace colossal {
 namespace {
@@ -100,24 +103,27 @@ TEST_F(MiningServiceTest, SecondIdenticalRequestIsCachedAndBitIdentical) {
   EXPECT_EQ(PatternsToString(ToFrequentItemsets(fresh->patterns)),
             PatternsToString(ToFrequentItemsets(second.result->patterns)));
 
-  EXPECT_EQ(service.cache_stats().hits, 1);
-  EXPECT_EQ(service.cache_stats().misses, 1);
+  EXPECT_EQ(Scrape(service.metrics(), "colossal_result_cache_hits_total"), 1);
+  EXPECT_EQ(Scrape(service.metrics(), "colossal_result_cache_misses_total"),
+            1);
 }
 
 TEST_F(MiningServiceTest, ArenaPeakIsZeroUntilAMineAndMonotoneAfter) {
   MiningService service;
-  EXPECT_EQ(service.arena_peak_bytes(), 0);
+  EXPECT_EQ(Scrape(service.metrics(), "colossal_arena_peak_bytes"), 0);
 
   MiningResponse mined = service.Mine(BasicRequest());
   ASSERT_TRUE(mined.status.ok()) << mined.status.ToString();
-  const int64_t after_mine = service.arena_peak_bytes();
+  const int64_t after_mine =
+      Scrape(service.metrics(), "colossal_arena_peak_bytes");
   EXPECT_GT(after_mine, 0) << "mine never touched the request arena";
 
   // A cache hit runs no mine; the peak is a lifetime max either way.
   MiningResponse cached = service.Mine(BasicRequest());
   ASSERT_TRUE(cached.status.ok());
   EXPECT_EQ(cached.source, ResponseSource::kCache);
-  EXPECT_GE(service.arena_peak_bytes(), after_mine);
+  EXPECT_GE(Scrape(service.metrics(), "colossal_arena_peak_bytes"),
+            after_mine);
 
   // Results never reference the per-request arena (it died with the
   // request): every cached support set is heap-backed.
@@ -231,7 +237,7 @@ TEST_F(MiningServiceTest, FlightRecordsCarryEachMinesArenaPeak) {
   EXPECT_GT(sharded.arena_peak_bytes, 0);
   EXPECT_STREQ(cached.source, "cache");
   EXPECT_EQ(cached.arena_peak_bytes, 0);
-  EXPECT_EQ(service.metrics().GaugeValue("colossal_arena_peak_bytes"),
+  EXPECT_EQ(Scrape(service.metrics(), "colossal_arena_peak_bytes"),
             std::max(mined.arena_peak_bytes, sharded.arena_peak_bytes));
 }
 
@@ -306,7 +312,7 @@ TEST_F(MiningServiceTest, DifferentOptionsMissTheCache) {
   MiningResponse response = service.Mine(different_tau);
   ASSERT_TRUE(response.status.ok());
   EXPECT_EQ(response.source, ResponseSource::kMined);
-  EXPECT_EQ(service.cache_stats().entries, 2);
+  EXPECT_EQ(Scrape(service.metrics(), "colossal_result_cache_entries"), 2);
 }
 
 TEST_F(MiningServiceTest, SamePathIsLoadedOnceAndSnapshotSharesEntries) {
@@ -321,7 +327,7 @@ TEST_F(MiningServiceTest, SamePathIsLoadedOnceAndSnapshotSharesEntries) {
   MiningResponse second = service.Mine(different_options);
   ASSERT_TRUE(second.status.ok());
   EXPECT_TRUE(second.dataset_registry_hit);
-  EXPECT_EQ(service.registry_stats().loads, 1);
+  EXPECT_EQ(Scrape(service.metrics(), "colossal_dataset_loads_total"), 1);
 
   // The snapshot of the same logical dataset fingerprints identically,
   // so its results land on the same cache entries.
@@ -389,8 +395,9 @@ TEST_F(MiningServiceTest, BatchDedupIsThreadCountInvariant) {
   EXPECT_EQ(responses[0].result.get(), responses[2].result.get());
   EXPECT_EQ(responses[1].result.get(), responses[5].result.get());
   // Two groups → two mines, four fan-outs served as cache hits.
-  EXPECT_EQ(service.cache_stats().misses, 2);
-  EXPECT_EQ(service.cache_stats().hits, 4);
+  EXPECT_EQ(Scrape(service.metrics(), "colossal_result_cache_misses_total"),
+            2);
+  EXPECT_EQ(Scrape(service.metrics(), "colossal_result_cache_hits_total"), 4);
 }
 
 TEST_F(MiningServiceTest, FailuresArePerRequest) {
@@ -438,6 +445,40 @@ TEST_F(MiningServiceTest, BatchDuplicatesCoalesceWhenCacheIsDisabled) {
   EXPECT_EQ(responses[0].result.get(), responses[2].result.get());
 }
 
+TEST_F(MiningServiceTest, ConcurrentIdenticalRequestsMineOnce) {
+  // Eight callers send the same request within a few microseconds of
+  // each other, with a fresh seed (so a fresh cache key) every round.
+  // However their cache probes, in-flight joins and the runner's
+  // publication of its result interleave, each round mines once.
+  constexpr int kCallers = 8;
+  constexpr int kRounds = 5000;
+  MiningService service;
+  const MineRequest base = BasicRequest();
+  std::barrier round_start(kCallers);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      std::mt19937 rng(static_cast<unsigned>(c));
+      std::uniform_int_distribution<int> jitter_us(0, 60);
+      MineRequest request = base;
+      for (int round = 0; round < kRounds; ++round) {
+        request.options.seed = static_cast<uint64_t>(round) + 1;
+        round_start.arrive_and_wait();
+        const auto arrival = std::chrono::steady_clock::now() +
+                             std::chrono::microseconds(jitter_us(rng));
+        while (std::chrono::steady_clock::now() < arrival) {
+        }
+        if (!service.Mine(request).status.ok()) ++failures;
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(Scrape(service.metrics(), "colossal_responses_mined_total"),
+            kRounds);
+}
+
 TEST(DatasetRegistryTest, EvictsLeastRecentlyUsedByBudget) {
   const std::string dir = ::testing::TempDir();
   const std::string path_a = dir + "/registry_evict_a.fimi";
@@ -445,28 +486,34 @@ TEST(DatasetRegistryTest, EvictsLeastRecentlyUsedByBudget) {
   ASSERT_TRUE(WriteFimiFile(MakeDiag(12), path_a).ok());
   ASSERT_TRUE(WriteFimiFile(MakeDiag(14), path_b).ok());
 
+  MetricsRegistry metrics;
   DatasetRegistryOptions options;
   options.memory_budget_bytes = 1;  // everything over budget
+  options.metrics = &metrics;
   DatasetRegistry registry(options);
 
   ASSERT_TRUE(registry.Get(path_a).ok());
-  EXPECT_EQ(registry.stats().resident_datasets, 1);  // newest kept
+  EXPECT_EQ(Scrape(metrics, "colossal_dataset_resident_datasets"),
+            1);  // newest kept
   ASSERT_TRUE(registry.Get(path_b).ok());
-  EXPECT_EQ(registry.stats().resident_datasets, 1);
-  EXPECT_EQ(registry.stats().evictions, 1);
+  EXPECT_EQ(Scrape(metrics, "colossal_dataset_resident_datasets"), 1);
+  EXPECT_EQ(Scrape(metrics, "colossal_dataset_evictions_total"), 1);
 
   // path_a was evicted → next Get reloads from disk.
   StatusOr<DatasetHandle> reloaded = registry.Get(path_a);
   ASSERT_TRUE(reloaded.ok());
   EXPECT_FALSE(reloaded->registry_hit);
-  EXPECT_EQ(registry.stats().loads, 3);
+  EXPECT_EQ(Scrape(metrics, "colossal_dataset_loads_total"), 3);
 }
 
 TEST(DatasetRegistryTest, RewrittenFileReloadsAutomatically) {
   const std::string path =
       ::testing::TempDir() + "/registry_rewrite.fimi";
   ASSERT_TRUE(WriteFimiFile(MakeDiag(8), path).ok());
-  DatasetRegistry registry;
+  MetricsRegistry metrics;
+  DatasetRegistryOptions options;
+  options.metrics = &metrics;
+  DatasetRegistry registry(options);
   ASSERT_TRUE(registry.Get(path).ok());
   ASSERT_TRUE(registry.Get(path)->registry_hit);
 
@@ -476,8 +523,8 @@ TEST(DatasetRegistryTest, RewrittenFileReloadsAutomatically) {
   ASSERT_TRUE(reloaded.ok());
   EXPECT_FALSE(reloaded->registry_hit);
   EXPECT_EQ(reloaded->db->num_transactions(), 10);
-  EXPECT_EQ(registry.stats().loads, 2);
-  EXPECT_EQ(registry.stats().stale_reloads, 1);
+  EXPECT_EQ(Scrape(metrics, "colossal_dataset_loads_total"), 2);
+  EXPECT_EQ(Scrape(metrics, "colossal_dataset_stale_reloads_total"), 1);
 
   // The fresh entry is registered under the new signature.
   EXPECT_TRUE(registry.Get(path)->registry_hit);
@@ -487,7 +534,10 @@ TEST(DatasetRegistryTest, MtimeOnlyChangeIsDetected) {
   const std::string path =
       ::testing::TempDir() + "/registry_mtime.fimi";
   ASSERT_TRUE(WriteFimiFile(MakeDiag(8), path).ok());
-  DatasetRegistry registry;
+  MetricsRegistry metrics;
+  DatasetRegistryOptions options;
+  options.metrics = &metrics;
+  DatasetRegistry registry(options);
   ASSERT_TRUE(registry.Get(path).ok());
 
   // Same bytes, same size — only the mtime moves (as e.g. `touch` or an
@@ -502,7 +552,7 @@ TEST(DatasetRegistryTest, MtimeOnlyChangeIsDetected) {
   StatusOr<DatasetHandle> reloaded = registry.Get(path);
   ASSERT_TRUE(reloaded.ok());
   EXPECT_FALSE(reloaded->registry_hit);
-  EXPECT_EQ(registry.stats().stale_reloads, 1);
+  EXPECT_EQ(Scrape(metrics, "colossal_dataset_stale_reloads_total"), 1);
   // Content did not change, so the fingerprint (and thus any cached
   // results keyed on it) is preserved across the reload.
   EXPECT_EQ(reloaded->fingerprint, registry.Get(path)->fingerprint);
@@ -512,13 +562,16 @@ TEST(DatasetRegistryTest, DeletedFileFailsInsteadOfServingStaleData) {
   const std::string path =
       ::testing::TempDir() + "/registry_deleted.fimi";
   ASSERT_TRUE(WriteFimiFile(MakeDiag(8), path).ok());
-  DatasetRegistry registry;
+  MetricsRegistry metrics;
+  DatasetRegistryOptions options;
+  options.metrics = &metrics;
+  DatasetRegistry registry(options);
   ASSERT_TRUE(registry.Get(path).ok());
   ASSERT_EQ(::unlink(path.c_str()), 0);
 
   StatusOr<DatasetHandle> gone = registry.Get(path);
   EXPECT_FALSE(gone.ok());
-  EXPECT_EQ(registry.stats().resident_datasets, 0);
+  EXPECT_EQ(Scrape(metrics, "colossal_dataset_resident_datasets"), 0);
 }
 
 TEST(DatasetRegistryTest, InvalidateForcesReload) {
@@ -546,18 +599,20 @@ TEST(DatasetRegistryTest, PinnedEntriesSurviveEviction) {
   ASSERT_TRUE(WriteFimiFile(MakeDiag(14), path_b).ok());
   ASSERT_TRUE(WriteFimiFile(MakeDiag(16), path_c).ok());
 
+  MetricsRegistry metrics;
   DatasetRegistryOptions options;
   options.memory_budget_bytes = 1;  // everything over budget
+  options.metrics = &metrics;
   DatasetRegistry registry(options);
 
   StatusOr<PinnedDatasetHandle> pinned = registry.GetPinned(path_a, "auto", 0);
   ASSERT_TRUE(pinned.ok());
-  EXPECT_GT(registry.stats().pinned_bytes, 0);
+  EXPECT_GT(Scrape(metrics, "colossal_dataset_pinned_bytes"), 0);
 
   // A plain Get whose eviction pass would claim path_a under the LRU
   // rule must skip the pinned entry.
   ASSERT_TRUE(registry.Get(path_b).ok());
-  EXPECT_EQ(registry.stats().resident_datasets, 2);
+  EXPECT_EQ(Scrape(metrics, "colossal_dataset_resident_datasets"), 2);
   StatusOr<DatasetHandle> still_resident = registry.Get(path_a);
   ASSERT_TRUE(still_resident.ok());
   EXPECT_TRUE(still_resident->registry_hit);
@@ -565,9 +620,9 @@ TEST(DatasetRegistryTest, PinnedEntriesSurviveEviction) {
   // Released pin → path_a is evictable again: the next insert's
   // eviction pass clears both unpinned entries.
   pinned->pin.reset();
-  EXPECT_EQ(registry.stats().pinned_bytes, 0);
+  EXPECT_EQ(Scrape(metrics, "colossal_dataset_pinned_bytes"), 0);
   ASSERT_TRUE(registry.Get(path_c).ok());
-  EXPECT_EQ(registry.stats().resident_datasets, 1);
+  EXPECT_EQ(Scrape(metrics, "colossal_dataset_resident_datasets"), 1);
   StatusOr<DatasetHandle> reloaded = registry.Get(path_a);
   ASSERT_TRUE(reloaded.ok());
   EXPECT_FALSE(reloaded->registry_hit);
@@ -594,8 +649,10 @@ TEST(DatasetRegistryTest, ConcurrentPinnedLoadsRespectTheBudget) {
   // Estimates must cover the loaded size; give each load the worst case
   // and a budget that admits two such reservations.
   const int64_t estimate = max_bytes * 2;
+  MetricsRegistry metrics;
   DatasetRegistryOptions options;
   options.memory_budget_bytes = estimate * 2;
+  options.metrics = &metrics;
   DatasetRegistry registry(options);
 
   std::vector<std::thread> workers;
@@ -619,10 +676,10 @@ TEST(DatasetRegistryTest, ConcurrentPinnedLoadsRespectTheBudget) {
   for (std::thread& worker : workers) worker.join();
   EXPECT_EQ(failures.load(), 0);
 
-  const DatasetRegistryStats stats = registry.stats();
-  EXPECT_LE(stats.peak_resident_bytes, options.memory_budget_bytes);
-  EXPECT_EQ(stats.pinned_bytes, 0);
-  EXPECT_EQ(stats.reserved_bytes, 0);
+  EXPECT_LE(Scrape(metrics, "colossal_dataset_peak_resident_bytes"),
+            options.memory_budget_bytes);
+  EXPECT_EQ(Scrape(metrics, "colossal_dataset_pinned_bytes"), 0);
+  EXPECT_EQ(Scrape(metrics, "colossal_dataset_reserved_bytes"), 0);
 }
 
 TEST(DatasetRegistryTest, HostileEstimatesAreClampedNotFatal) {
@@ -633,16 +690,18 @@ TEST(DatasetRegistryTest, HostileEstimatesAreClampedNotFatal) {
   const std::string path =
       ::testing::TempDir() + "/registry_hostile_estimate.fimi";
   ASSERT_TRUE(WriteFimiFile(MakeDiag(8), path).ok());
+  MetricsRegistry metrics;
   DatasetRegistryOptions options;
   options.memory_budget_bytes = 1;
+  options.metrics = &metrics;
   DatasetRegistry registry(options);
   StatusOr<PinnedDatasetHandle> pinned = registry.GetPinned(
       path, "auto", std::numeric_limits<int64_t>::max());
   ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
   EXPECT_EQ(pinned->handle.db->num_transactions(), 8);
   pinned->pin.reset();
-  EXPECT_EQ(registry.stats().reserved_bytes, 0);
-  EXPECT_EQ(registry.stats().pinned_bytes, 0);
+  EXPECT_EQ(Scrape(metrics, "colossal_dataset_reserved_bytes"), 0);
+  EXPECT_EQ(Scrape(metrics, "colossal_dataset_pinned_bytes"), 0);
   // Negative estimates clamp to zero the same way.
   StatusOr<PinnedDatasetHandle> negative = registry.GetPinned(
       path, "auto", std::numeric_limits<int64_t>::min());
@@ -656,7 +715,10 @@ TEST(DatasetRegistryTest, StalePinReleaseDoesNotUnpinTheReloadedEntry) {
   const std::string path =
       ::testing::TempDir() + "/registry_stale_pin.fimi";
   ASSERT_TRUE(WriteFimiFile(MakeDiag(8), path).ok());
-  DatasetRegistry registry;
+  MetricsRegistry metrics;
+  DatasetRegistryOptions options;
+  options.metrics = &metrics;
+  DatasetRegistry registry(options);
   StatusOr<PinnedDatasetHandle> old_pin = registry.GetPinned(path, "auto", 0);
   ASSERT_TRUE(old_pin.ok());
 
@@ -664,14 +726,15 @@ TEST(DatasetRegistryTest, StalePinReleaseDoesNotUnpinTheReloadedEntry) {
   StatusOr<PinnedDatasetHandle> new_pin = registry.GetPinned(path, "auto", 0);
   ASSERT_TRUE(new_pin.ok());
   EXPECT_EQ(new_pin->handle.db->num_transactions(), 10);
-  EXPECT_EQ(registry.stats().stale_reloads, 1);
+  EXPECT_EQ(Scrape(metrics, "colossal_dataset_stale_reloads_total"), 1);
 
-  const int64_t pinned_before = registry.stats().pinned_bytes;
+  const int64_t pinned_before =
+      Scrape(metrics, "colossal_dataset_pinned_bytes");
   EXPECT_GT(pinned_before, 0);
   old_pin->pin.reset();  // stale generation: must be a no-op
-  EXPECT_EQ(registry.stats().pinned_bytes, pinned_before);
+  EXPECT_EQ(Scrape(metrics, "colossal_dataset_pinned_bytes"), pinned_before);
   new_pin->pin.reset();
-  EXPECT_EQ(registry.stats().pinned_bytes, 0);
+  EXPECT_EQ(Scrape(metrics, "colossal_dataset_pinned_bytes"), 0);
 }
 
 TEST(DatasetRegistryTest, SniffCacheServesWarmVerdictsByStat) {
@@ -679,12 +742,16 @@ TEST(DatasetRegistryTest, SniffCacheServesWarmVerdictsByStat) {
   const std::string data_path = dir + "/sniff_cache_data.fimi";
   ASSERT_TRUE(WriteFimiFile(MakeDiag(8), data_path).ok());
 
-  DatasetRegistry registry;
+  MetricsRegistry metrics;
+  DatasetRegistryOptions options;
+  options.metrics = &metrics;
+  DatasetRegistry registry(options);
   EXPECT_FALSE(registry.SniffIsManifest(data_path));
-  EXPECT_EQ(registry.stats().sniff_cache_hits, 0);  // cold: real sniff
+  EXPECT_EQ(Scrape(metrics, "colossal_sniff_cache_hits_total"),
+            0);  // cold: real sniff
   EXPECT_FALSE(registry.SniffIsManifest(data_path));
   EXPECT_FALSE(registry.SniffIsManifest(data_path));
-  EXPECT_EQ(registry.stats().sniff_cache_hits, 2);
+  EXPECT_EQ(Scrape(metrics, "colossal_sniff_cache_hits_total"), 2);
 
   // Rewriting the file as a manifest invalidates the cached verdict via
   // the signature, not via any explicit call.
@@ -695,14 +762,15 @@ TEST(DatasetRegistryTest, SniffCacheServesWarmVerdictsByStat) {
   manifest.shards.push_back(ShardInfo{"x.snap", 0, 8, 2});
   ASSERT_TRUE(WriteShardManifestFile(manifest, data_path).ok());
   EXPECT_TRUE(registry.SniffIsManifest(data_path));
-  EXPECT_EQ(registry.stats().sniff_cache_hits, 2);  // miss re-sniffed
+  EXPECT_EQ(Scrape(metrics, "colossal_sniff_cache_hits_total"),
+            2);  // miss re-sniffed
   EXPECT_TRUE(registry.SniffIsManifest(data_path));
-  EXPECT_EQ(registry.stats().sniff_cache_hits, 3);
+  EXPECT_EQ(Scrape(metrics, "colossal_sniff_cache_hits_total"), 3);
 
   // Invalidate drops the verdict with the rest of the path's entries.
   registry.Invalidate(data_path);
   EXPECT_TRUE(registry.SniffIsManifest(data_path));
-  EXPECT_EQ(registry.stats().sniff_cache_hits, 3);
+  EXPECT_EQ(Scrape(metrics, "colossal_sniff_cache_hits_total"), 3);
 }
 
 TEST(DatasetRegistryTest, SniffCacheIsBoundedAgainstHostilePathStreams) {
@@ -715,15 +783,18 @@ TEST(DatasetRegistryTest, SniffCacheIsBoundedAgainstHostilePathStreams) {
   const std::string dir = ::testing::TempDir();
   const std::string real_path = dir + "/sniff_bound_real.fimi";
   ASSERT_TRUE(WriteFimiFile(MakeDiag(8), real_path).ok());
-  DatasetRegistry registry;
+  MetricsRegistry metrics;
+  DatasetRegistryOptions options;
+  options.metrics = &metrics;
+  DatasetRegistry registry(options);
   EXPECT_FALSE(registry.SniffIsManifest(real_path));
   for (int i = 0; i < 5000; ++i) {
     registry.SniffIsManifest(dir + "/no_such_" + std::to_string(i));
   }
-  EXPECT_EQ(registry.stats().sniff_cache_hits, 0);
+  EXPECT_EQ(Scrape(metrics, "colossal_sniff_cache_hits_total"), 0);
   EXPECT_FALSE(registry.SniffIsManifest(real_path));  // re-warm (or warm)
   EXPECT_FALSE(registry.SniffIsManifest(real_path));
-  EXPECT_GE(registry.stats().sniff_cache_hits, 1);
+  EXPECT_GE(Scrape(metrics, "colossal_sniff_cache_hits_total"), 1);
 }
 
 TEST_F(MiningServiceTest, WarmAutoFormatRequestsHitTheSniffCache) {
@@ -733,18 +804,20 @@ TEST_F(MiningServiceTest, WarmAutoFormatRequestsHitTheSniffCache) {
   // single stat.
   MiningService service;
   ASSERT_TRUE(service.Mine(BasicRequest()).status.ok());
-  EXPECT_EQ(service.registry_stats().sniff_cache_hits, 0);
+  EXPECT_EQ(Scrape(service.metrics(), "colossal_sniff_cache_hits_total"), 0);
   MiningResponse warm = service.Mine(BasicRequest());
   ASSERT_TRUE(warm.status.ok());
   EXPECT_EQ(warm.source, ResponseSource::kCache);
-  EXPECT_EQ(service.registry_stats().sniff_cache_hits, 1);
+  EXPECT_EQ(Scrape(service.metrics(), "colossal_sniff_cache_hits_total"), 1);
   ASSERT_TRUE(service.Mine(BasicRequest()).status.ok());
-  EXPECT_EQ(service.registry_stats().sniff_cache_hits, 2);
+  EXPECT_EQ(Scrape(service.metrics(), "colossal_sniff_cache_hits_total"), 2);
 }
 
 TEST(ResultCacheTest, LruEvictionAndCollisionSafety) {
+  MetricsRegistry metrics;
   ResultCacheOptions options;
   options.max_entries = 2;
+  options.metrics = &metrics;
   ResultCache cache(options);
 
   ColossalMinerOptions canonical_a;
@@ -763,7 +836,7 @@ TEST(ResultCacheTest, LruEvictionAndCollisionSafety) {
   EXPECT_NE(cache.Get(key_a, canonical_a), nullptr);
   EXPECT_EQ(cache.Get(key_b, canonical_a), nullptr);
   EXPECT_NE(cache.Get(key_c, canonical_a), nullptr);
-  EXPECT_EQ(cache.stats().evictions, 1);
+  EXPECT_EQ(Scrape(metrics, "colossal_result_cache_evictions_total"), 1);
 
   // Same key, different canonical options (a simulated 64-bit hash
   // collision) must miss, not serve the wrong result.
@@ -823,7 +896,7 @@ TEST_F(MiningServiceTest, TinyByteBudgetRejectsColdMinesDeterministically) {
   // counts in the exposed metric.
   EXPECT_EQ(service.Mine(BasicRequest()).status.code(),
             StatusCode::kResourceExhausted);
-  EXPECT_EQ(service.metrics().CounterValue("colossal_admission_rejected_total"),
+  EXPECT_EQ(Scrape(service.metrics(), "colossal_admission_rejected_total"),
             2);
 }
 
@@ -837,7 +910,7 @@ TEST_F(MiningServiceTest, CacheHitsBypassTheAdmissionGate) {
   MiningResponse warm = service.Mine(BasicRequest());
   ASSERT_TRUE(warm.status.ok());
   EXPECT_EQ(warm.source, ResponseSource::kCache);
-  EXPECT_EQ(service.metrics().CounterValue("colossal_admission_rejected_total"),
+  EXPECT_EQ(Scrape(service.metrics(), "colossal_admission_rejected_total"),
             0);
 }
 
@@ -850,21 +923,24 @@ TEST(DatasetRegistryTest, EvictionsAreReapedOffTheGetPath) {
   ASSERT_TRUE(WriteFimiFile(MakeDiag(12), path_a).ok());
   ASSERT_TRUE(WriteFimiFile(MakeDiag(14), path_b).ok());
 
+  MetricsRegistry metrics;
   DatasetRegistryOptions options;
   options.memory_budget_bytes = 1;  // every load evicts the previous
+  options.metrics = &metrics;
   DatasetRegistry registry(options);
   ASSERT_TRUE(registry.Get(path_a).ok());
   ASSERT_TRUE(registry.Get(path_b).ok());  // evicts a → reap queue
-  EXPECT_EQ(registry.stats().evictions, 1);
+  EXPECT_EQ(Scrape(metrics, "colossal_dataset_evictions_total"), 1);
 
   // The reaper thread frees the evicted dataset shortly; accounting
   // (resident bytes, eviction counters) already reflected it at Get
   // time — only destruction is deferred.
-  for (int i = 0; i < 200 && registry.stats().reaps < 1; ++i) {
+  for (int i = 0;
+       i < 200 && Scrape(metrics, "colossal_dataset_reaps_total") < 1; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  EXPECT_GE(registry.stats().reaps, 1);
-  EXPECT_EQ(registry.stats().reap_pending, 0);
+  EXPECT_GE(Scrape(metrics, "colossal_dataset_reaps_total"), 1);
+  EXPECT_EQ(Scrape(metrics, "colossal_dataset_reap_pending"), 0);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 
 #include "data/dataset_io.h"
 #include "data/generators.h"
+#include "tests/metrics_scrape.h"
 
 namespace colossal {
 namespace {
@@ -87,9 +88,9 @@ TEST_F(ServeDispatchTest, RequestsPopulatePhaseHistograms) {
   DispatchServeLine(service_, RequestLine());
 
   const MetricsRegistry& metrics = service_.metrics();
-  EXPECT_EQ(metrics.CounterValue("colossal_requests_total"), 2);
-  EXPECT_EQ(metrics.CounterValue("colossal_responses_mined_total"), 1);
-  EXPECT_EQ(metrics.CounterValue("colossal_responses_cache_total"), 1);
+  EXPECT_EQ(Scrape(metrics, "colossal_requests_total"), 2);
+  EXPECT_EQ(Scrape(metrics, "colossal_responses_mined_total"), 1);
+  EXPECT_EQ(Scrape(metrics, "colossal_responses_cache_total"), 1);
   // Every phase an unsharded mine passes through recorded at least one
   // sample (stitch is sharded-only).
   for (const char* name :
@@ -111,8 +112,8 @@ TEST_F(ServeDispatchTest, RequestsPopulatePhaseHistograms) {
 TEST_F(ServeDispatchTest, ParseFailuresCountAsRequests) {
   DispatchServeLine(service_, "--nope 1");
   const MetricsRegistry& metrics = service_.metrics();
-  EXPECT_EQ(metrics.CounterValue("colossal_requests_total"), 1);
-  EXPECT_EQ(metrics.CounterValue("colossal_request_parse_failures_total"), 1);
+  EXPECT_EQ(Scrape(metrics, "colossal_requests_total"), 1);
+  EXPECT_EQ(Scrape(metrics, "colossal_request_parse_failures_total"), 1);
   EXPECT_EQ(
       metrics.FindHistogram("colossal_phase_parse_seconds")->TotalCount(), 1);
 }
@@ -147,7 +148,7 @@ TEST_F(ServeDispatchTest, StatsReadersRaceMiningWriters) {
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& reader : readers) reader.join();
 
-  EXPECT_EQ(service_.metrics().CounterValue("colossal_requests_total"),
+  EXPECT_EQ(Scrape(service_.metrics(), "colossal_requests_total"),
             1 + 8 * 50);
 }
 
@@ -418,7 +419,7 @@ TEST_F(ServeDispatchTest, FlightDropsSurfaceInStatsAndMetrics) {
                 " flight_dropped=" + std::to_string(dropped)),
             std::string::npos)
       << FormatStatsLine(tiny);
-  EXPECT_EQ(tiny.metrics().GaugeValue("colossal_flight_dropped_total"),
+  EXPECT_EQ(Scrape(tiny.metrics(), "colossal_flight_dropped_total"),
             dropped);
   ServeOutcome recent = DispatchServeLine(tiny, "recent");
   EXPECT_NE(recent.debug_text.find("\"dropped\":" + std::to_string(dropped)),

@@ -23,6 +23,7 @@
 #include "service/dispatch.h"
 #include "service/mining_service.h"
 #include "shard/shard_planner.h"
+#include "tests/metrics_scrape.h"
 
 namespace colossal {
 namespace {
@@ -766,10 +767,10 @@ TEST_F(ShardedMinerTest, RegistryBudgetHoldsWhileServingAManifest) {
   ASSERT_TRUE(response.status.ok()) << response.status.ToString();
   EXPECT_EQ(response.shards, 7);
 
-  const DatasetRegistryStats stats = service.registry_stats();
-  EXPECT_LE(stats.peak_resident_bytes, budget);
-  EXPECT_GT(stats.evictions, 0);
-  EXPECT_LE(stats.resident_bytes, budget);
+  const MetricsRegistry& metrics = service.metrics();
+  EXPECT_LE(Scrape(metrics, "colossal_dataset_peak_resident_bytes"), budget);
+  EXPECT_GT(Scrape(metrics, "colossal_dataset_evictions_total"), 0);
+  EXPECT_LE(Scrape(metrics, "colossal_dataset_resident_bytes"), budget);
 
   // Still the exact answer.
   StatusOr<ColossalMiningResult> reference =
@@ -810,13 +811,13 @@ TEST_F(ShardedMinerTest, FanOutHoldsTheRegistryBudgetAndStaysExact) {
   ASSERT_TRUE(response.status.ok()) << response.status.ToString();
   EXPECT_EQ(response.shards, 7);
 
-  const DatasetRegistryStats stats = service.registry_stats();
-  EXPECT_LE(stats.peak_resident_bytes, budget);
-  EXPECT_LE(stats.resident_bytes, budget);
-  EXPECT_GT(stats.evictions, 0);
+  const MetricsRegistry& metrics = service.metrics();
+  EXPECT_LE(Scrape(metrics, "colossal_dataset_peak_resident_bytes"), budget);
+  EXPECT_LE(Scrape(metrics, "colossal_dataset_resident_bytes"), budget);
+  EXPECT_GT(Scrape(metrics, "colossal_dataset_evictions_total"), 0);
   // Every pin and reservation drained with the mine.
-  EXPECT_EQ(stats.pinned_bytes, 0);
-  EXPECT_EQ(stats.reserved_bytes, 0);
+  EXPECT_EQ(Scrape(metrics, "colossal_dataset_pinned_bytes"), 0);
+  EXPECT_EQ(Scrape(metrics, "colossal_dataset_reserved_bytes"), 0);
 
   StatusOr<ColossalMiningResult> reference =
       MineColossal(*db_, BaseOptions());

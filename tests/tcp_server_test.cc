@@ -24,6 +24,7 @@
 #include "obs/metrics.h"
 #include "service/dispatch.h"
 #include "service/mining_service.h"
+#include "tests/metrics_scrape.h"
 
 namespace colossal {
 namespace {
@@ -49,7 +50,10 @@ StatusOr<int> Connect(const TcpServer& server) {
 }
 
 TEST(TcpServerTest, EchoRoundTripAndPipelining) {
-  auto server = StartEchoServer({});
+  MetricsRegistry metrics;
+  TcpServerOptions options;
+  options.metrics = &metrics;
+  auto server = StartEchoServer(options);
   StatusOr<int> fd = Connect(*server);
   ASSERT_TRUE(fd.ok()) << fd.status().ToString();
   SocketReader reader(*fd);
@@ -68,17 +72,19 @@ TEST(TcpServerTest, EchoRoundTripAndPipelining) {
   }
   ::close(*fd);
   server->Shutdown();
-  EXPECT_EQ(server->stats().lines_dispatched, 4);
+  EXPECT_EQ(Scrape(metrics, "colossal_tcp_lines_dispatched_total"), 4);
 }
 
 TEST(TcpServerTest, MaxPipelineReleasesRepliesInRequestOrder) {
   // With max_pipeline > 1 both requests run concurrently; the first
   // sleeps so its reply completes last, yet must be delivered first.
+  MetricsRegistry metrics;
   TcpServerOptions options;
   options.max_pipeline = 4;
   options.num_threads = 4;
   options.host = "127.0.0.1";
   options.port = 0;
+  options.metrics = &metrics;
   TcpServer server(options, [](const std::string& line) {
     if (line == "slow") {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -97,16 +103,18 @@ TEST(TcpServerTest, MaxPipelineReleasesRepliesInRequestOrder) {
   }
   ::close(*fd);
   server.Shutdown();
-  EXPECT_EQ(server.stats().lines_dispatched, 3);
+  EXPECT_EQ(Scrape(metrics, "colossal_tcp_lines_dispatched_total"), 3);
 }
 
 TEST(TcpServerTest, PipelinedFramingErrorStillDeliversEarlierReplies) {
   // An oversized line behind two good pipelined requests: both good
   // replies arrive in order, then the error frame, then the close.
+  MetricsRegistry metrics;
   TcpServerOptions options;
   options.max_pipeline = 4;
   options.num_threads = 2;
   options.max_line_bytes = 64;
+  options.metrics = &metrics;
   auto server = StartEchoServer(options);
   StatusOr<int> fd = Connect(*server);
   ASSERT_TRUE(fd.ok());
@@ -124,7 +132,7 @@ TEST(TcpServerTest, PipelinedFramingErrorStillDeliversEarlierReplies) {
       << *error_line;
   EXPECT_TRUE(reader.AtEof());
   ::close(*fd);
-  EXPECT_EQ(server->stats().oversized_lines, 1);
+  EXPECT_EQ(Scrape(metrics, "colossal_tcp_oversized_lines_total"), 1);
 }
 
 TEST(TcpServerTest, PartialWritesAreReassembled) {
@@ -145,8 +153,10 @@ TEST(TcpServerTest, PartialWritesAreReassembled) {
 }
 
 TEST(TcpServerTest, OversizedLineGetsErrorAndClose) {
+  MetricsRegistry metrics;
   TcpServerOptions options;
   options.max_line_bytes = 64;
+  options.metrics = &metrics;
   auto server = StartEchoServer(options);
   StatusOr<int> fd = Connect(*server);
   ASSERT_TRUE(fd.ok());
@@ -169,12 +179,14 @@ TEST(TcpServerTest, OversizedLineGetsErrorAndClose) {
   ASSERT_TRUE(line2.ok());
   EXPECT_EQ(*line2, "echo after");
   ::close(*fd2);
-  EXPECT_EQ(server->stats().oversized_lines, 1);
+  EXPECT_EQ(Scrape(metrics, "colossal_tcp_oversized_lines_total"), 1);
 }
 
 TEST(TcpServerTest, OversizedButTerminatedLineIsRejectedToo) {
+  MetricsRegistry metrics;
   TcpServerOptions options;
   options.max_line_bytes = 64;
+  options.metrics = &metrics;
   auto server = StartEchoServer(options);
   StatusOr<int> fd = Connect(*server);
   ASSERT_TRUE(fd.ok());
@@ -188,8 +200,8 @@ TEST(TcpServerTest, OversizedButTerminatedLineIsRejectedToo) {
   EXPECT_NE(line->find("OUT_OF_RANGE"), std::string::npos) << *line;
   EXPECT_TRUE(reader.AtEof());
   ::close(*fd);
-  EXPECT_EQ(server->stats().oversized_lines, 1);
-  EXPECT_EQ(server->stats().lines_dispatched, 0);
+  EXPECT_EQ(Scrape(metrics, "colossal_tcp_oversized_lines_total"), 1);
+  EXPECT_EQ(Scrape(metrics, "colossal_tcp_lines_dispatched_total"), 0);
 }
 
 TEST(TcpServerTest, AbruptDisconnectMidRequestIsHarmless) {
@@ -221,8 +233,10 @@ TEST(TcpServerTest, AbruptDisconnectMidRequestIsHarmless) {
 }
 
 TEST(TcpServerTest, ConnectionLimitRejectsWithStatus) {
+  MetricsRegistry metrics;
   TcpServerOptions options;
   options.max_connections = 1;
+  options.metrics = &metrics;
   auto server = StartEchoServer(options);
 
   StatusOr<int> first = Connect(*server);
@@ -253,7 +267,7 @@ TEST(TcpServerTest, ConnectionLimitRejectsWithStatus) {
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(*reply, "echo three");
   ::close(*third);
-  EXPECT_EQ(server->stats().rejected, 1);
+  EXPECT_EQ(Scrape(metrics, "colossal_tcp_rejected_total"), 1);
 }
 
 TEST(TcpServerTest, GracefulShutdownClosesIdleConnections) {
@@ -456,10 +470,10 @@ TEST_F(ServeProtocolTest, ConcurrentConnectionsShareTheCache) {
   // the cache and misses before it joins the in-flight mine), so only
   // the totals are asserted.
   const MetricsRegistry& metrics = service_->metrics();
-  const int64_t mined = metrics.CounterValue("colossal_responses_mined_total");
+  const int64_t mined = Scrape(metrics, "colossal_responses_mined_total");
   EXPECT_EQ(mined, 1);
-  EXPECT_EQ(mined + metrics.CounterValue("colossal_responses_cache_total") +
-                metrics.CounterValue("colossal_responses_coalesced_total"),
+  EXPECT_EQ(mined + Scrape(metrics, "colossal_responses_cache_total") +
+                Scrape(metrics, "colossal_responses_coalesced_total"),
             kClients);
 }
 

@@ -4,30 +4,23 @@
 Usage: check_loadgen_bench.py BASELINE.json CANDIDATE.json
 
 Compares a CI loadgen run against the checked-in baseline
-(BENCH_loadgen.json). Correctness is a hard gate; performance is
-advisory: shared CI runners are far too noisy for tight latency/QPS
-bounds, so those only fail when they are wildly off — a real
-regression of that size survives runner noise.
+(BENCH_loadgen.json). Shared CI runners are far too noisy for tight
+latency/QPS bounds, so the one performance check is a bound no runner
+noise explains; speed is measured by perfbench/run.py instead.
 
-Hard failures (exit 1):
+Failures (exit 1):
   - requests_failed > 0 in the candidate
   - requests_sent != connections * repeat * requests_per_pass
     (the server dropped or duplicated requests)
   - a required field is missing or non-numeric
-
-Advisory (warning only, exit 0):
-  - qps below baseline/WILD_FACTOR
-  - latency p99 above baseline*WILD_FACTOR ... unless it exceeds
-    HARD_FACTOR, which is beyond any plausible runner-noise excuse and
-    fails the gate.
+  - latency p99 above baseline*HARD_FACTOR
 """
 
 import json
 import sys
 
-# Generous: runner noise is routinely 2-5x; only order-of-magnitude
-# drift is treated as signal.
-WILD_FACTOR = 10.0
+# Runner noise is routinely 2-5x; a p99 two orders of magnitude over
+# the baseline is a real regression.
 HARD_FACTOR = 100.0
 
 REQUIRED = [
@@ -82,16 +75,6 @@ def main():
             "requests were dropped or duplicated"
         )
 
-    warnings = 0
-    base_qps = baseline.get("qps", 0)
-    if base_qps > 0 and candidate["qps"] < base_qps / WILD_FACTOR:
-        print(
-            f"WARN: qps {candidate['qps']:.1f} is more than {WILD_FACTOR:g}x "
-            f"below the baseline {base_qps:.1f} — runner noise or a real "
-            "regression; inspect the uploaded artifacts"
-        )
-        warnings += 1
-
     base_p99 = baseline.get("latency_ms", {}).get("p99", 0)
     cand_p99 = candidate.get("latency_ms", {}).get("p99", 0)
     if base_p99 > 0 and cand_p99 > base_p99 * HARD_FACTOR:
@@ -99,18 +82,11 @@ def main():
             f"latency p99 {cand_p99:.3f} ms is more than {HARD_FACTOR:g}x the "
             f"baseline {base_p99:.3f} ms"
         )
-    if base_p99 > 0 and cand_p99 > base_p99 * WILD_FACTOR:
-        print(
-            f"WARN: latency p99 {cand_p99:.3f} ms vs baseline "
-            f"{base_p99:.3f} ms (>{WILD_FACTOR:g}x)"
-        )
-        warnings += 1
 
     print(
         f"OK: sent={candidate['requests_sent']} failed=0 "
-        f"qps={candidate['qps']:.1f} (baseline {base_qps:.1f}) "
-        f"p99={cand_p99:.3f}ms (baseline {base_p99:.3f}ms) "
-        f"warnings={warnings}"
+        f"qps={candidate['qps']:.1f} "
+        f"p99={cand_p99:.3f}ms (baseline {base_p99:.3f}ms)"
     )
 
 

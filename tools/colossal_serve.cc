@@ -106,6 +106,7 @@
 #include "mining/result_io.h"
 #include "net/http_server.h"
 #include "net/tcp_server.h"
+#include "obs/metrics.h"
 #include "service/dispatch.h"
 #include "service/mining_service.h"
 
@@ -274,16 +275,18 @@ int RunBatch(const Args& args) {
                 out_dir.c_str());
   }
 
-  const ResultCacheStats cache = service.cache_stats();
-  const DatasetRegistryStats registry = service.registry_stats();
+  const MetricsRegistry& metrics = service.metrics();
   std::printf(
       "batch: %zu request(s), cache_hits=%lld coalesced=%lld failed=%lld "
       "cache_entries=%lld dataset_loads=%lld dataset_hits=%lld\n",
       responses.size(), static_cast<long long>(cache_hits),
       static_cast<long long>(coalesced), static_cast<long long>(failed),
-      static_cast<long long>(cache.entries),
-      static_cast<long long>(registry.loads),
-      static_cast<long long>(registry.hits));
+      static_cast<long long>(
+          metrics.GaugeValue("colossal_result_cache_entries")),
+      static_cast<long long>(
+          metrics.CounterValue("colossal_dataset_loads_total")),
+      static_cast<long long>(
+          metrics.CounterValue("colossal_dataset_hits_total")));
   return failed == 0 ? 0 : 1;
 }
 
@@ -481,22 +484,24 @@ int RunListen(const Args& args) {
     http_waiter.join();
   }
 
-  const TcpServerStats stats = server.stats();
+  const MetricsRegistry& metrics = service.metrics();
+  auto count = [&metrics](const char* name) {
+    return static_cast<long long>(metrics.CounterValue(name));
+  };
   std::printf(
       "stopped accepted=%lld rejected=%lld lines=%lld oversized=%lld\n",
-      static_cast<long long>(stats.accepted),
-      static_cast<long long>(stats.rejected),
-      static_cast<long long>(stats.lines_dispatched),
-      static_cast<long long>(stats.oversized_lines));
+      count("colossal_tcp_accepted_total"),
+      count("colossal_tcp_rejected_total"),
+      count("colossal_tcp_lines_dispatched_total"),
+      count("colossal_tcp_oversized_lines_total"));
   if (http_server != nullptr) {
-    const TcpServerStats http_stats = http_server->stats();
     std::printf(
         "stopped http accepted=%lld rejected=%lld requests=%lld "
         "framing_errors=%lld\n",
-        static_cast<long long>(http_stats.accepted),
-        static_cast<long long>(http_stats.rejected),
-        static_cast<long long>(http_stats.lines_dispatched),
-        static_cast<long long>(http_stats.oversized_lines));
+        count("colossal_http_accepted_total"),
+        count("colossal_http_rejected_total"),
+        count("colossal_http_lines_dispatched_total"),
+        count("colossal_http_oversized_lines_total"));
   }
   g_http_server = nullptr;
   g_listen_server = nullptr;
