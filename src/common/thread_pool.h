@@ -31,16 +31,6 @@ int ResolveNumThreads(int num_threads);
 // thread-spawn resources. Generous versus any real machine.
 inline constexpr int kMaxExplicitThreads = 1024;
 
-// Thread-count policy: how every engine turns its options' raw
-// `num_threads` knob into a worker count. The default asks for one
-// worker per hardware thread.
-struct ParallelPolicy {
-  // 0 = auto-detect (hardware_concurrency); n >= 1 = exactly n.
-  int num_threads = 0;
-
-  int ResolvedThreads() const { return ResolveNumThreads(num_threads); }
-};
-
 // A fixed-size pool of worker threads consuming a FIFO task queue.
 // Construction spawns the workers; destruction stops accepting work,
 // drains tasks already queued, and joins. Not reentrant: calling

@@ -69,11 +69,12 @@ struct ColossalMinerOptions {
 
   // Concurrent shards during the sharded miner's phase-1 fan-out
   // (shard/sharded_miner.h); ignored by unsharded mining. 0 = auto:
-  // one shard job per hardware thread, capped by the residency
-  // governor so concurrently resident shards fit the registry budget —
-  // and sequential when the miner was given no budget to govern with
-  // (direct library callers keep the at-most-one-shard-resident
-  // guarantee unless they opt in explicitly). 1 = the sequential walk.
+  // one shard job per resolved num_threads, capped by the shard count
+  // and by the residency governor so concurrently resident shards fit
+  // the registry budget — and sequential when the miner was given no
+  // budget to govern with (direct library callers keep the
+  // at-most-one-shard-resident guarantee unless they opt in
+  // explicitly). 1 = the sequential walk.
   // Like num_threads, a pure performance knob: output is bit-identical
   // for any value, and canonicalization zeroes it.
   int shard_parallelism = 0;

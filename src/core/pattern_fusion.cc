@@ -221,7 +221,7 @@ StatusOr<PatternFusionResult> FusionEngine::Run(
   }
 
   const double radius = BallRadius(options_.tau);
-  const int num_threads = ParallelPolicy{options_.num_threads}.ResolvedThreads();
+  const int num_threads = ResolveNumThreads(options_.num_threads);
   // Spawned lazily, on the first iteration that has seeds to shard — an
   // already-converged run never pays the thread spawn.
   std::unique_ptr<ThreadPool> workers;

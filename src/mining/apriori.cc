@@ -116,9 +116,7 @@ StatusOr<MiningResult> MineApriori(const TransactionDatabase& db,
   // candidate visit order, which parallel row sharding does not preserve
   // mid-row.
   const int num_threads =
-      options.max_nodes != 0
-          ? 1
-          : ParallelPolicy{options.num_threads}.ResolvedThreads();
+      options.max_nodes != 0 ? 1 : ResolveNumThreads(options.num_threads);
   // Spawned lazily, on the first level that actually has join work.
   std::unique_ptr<ThreadPool> workers;
 

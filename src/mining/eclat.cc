@@ -119,9 +119,7 @@ StatusOr<MiningResult> MineEclat(const TransactionDatabase& db,
   // Budgeted runs stay serial so the truncation point is the exact DFS
   // prefix a single-threaded walk would produce.
   const int num_threads =
-      options.max_nodes != 0
-          ? 1
-          : ParallelPolicy{options.num_threads}.ResolvedThreads();
+      options.max_nodes != 0 ? 1 : ResolveNumThreads(options.num_threads);
   if (num_threads > 1 && roots.size() > 1) {
     // Each root's subtree is an independent DFS over the extension
     // lists to its right: shard subtrees across workers into per-root

@@ -64,10 +64,10 @@ StatusOr<bool> SocketReader::Fill() {
   if (eof_) return false;
   char chunk[4096];
   while (true) {
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+    const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
     if (n < 0) {
       if (errno == EINTR) continue;
-      return Status::Internal(std::string("recv: ") + std::strerror(errno));
+      return Status::Internal(std::string("read: ") + std::strerror(errno));
     }
     if (n == 0) {
       eof_ = true;

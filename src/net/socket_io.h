@@ -8,8 +8,8 @@
 
 namespace colossal {
 
-// Blocking TCP helpers for the client side of the wire protocol
-// (colossal_client and the socket tests). The server side is
+// Blocking helpers for the client side of the counted wire protocol
+// (colossal_loadgen and the socket tests). The server side is
 // nonblocking and lives in net/tcp_server.h.
 
 // Connects to host:port (getaddrinfo; numeric IPs and names both work).
@@ -20,7 +20,8 @@ StatusOr<int> DialTcp(const std::string& host, int port);
 // MSG_NOSIGNAL so a peer reset surfaces as a Status, not SIGPIPE.
 Status WriteAll(int fd, const std::string& data);
 
-// Buffered reader over a blocking socket: the line/exact-byte-count
+// Buffered reader over a blocking fd — a socket, or a pipe or file
+// holding a `colossal_serve daemon` transcript: the line/exact-byte-count
 // reads the response framing needs.
 class SocketReader {
  public:
@@ -49,8 +50,8 @@ class SocketReader {
 };
 
 // One parsed response frame of the counted wire protocol ("<header>
-// bytes=B\n" then exactly B payload bytes — see tools/colossal_serve.cc
-// for the full grammar).
+// bytes=B\n" then exactly B payload bytes — see service/dispatch.h for
+// the full grammar).
 struct TcpFrame {
   std::string header;   // full status line (without the newline)
   std::string payload;  // exactly bytes=B bytes
@@ -61,8 +62,8 @@ struct TcpFrame {
                             // (control words, pre-id servers)
 };
 
-// Reads and splits one frame. Shared by colossal_client and
-// colossal_loadgen so every client parses the protocol identically.
+// Reads and splits one frame, so every client parses the protocol
+// identically.
 // Fails kInternal on malformed framing or a connection closed mid-frame.
 StatusOr<TcpFrame> ReadTcpFrame(SocketReader& reader);
 

@@ -44,36 +44,25 @@ ServerReply DefaultErrorReply(const Status& status) {
   return reply;
 }
 
-// The counted-line protocol's framer: one request per '\n'-terminated
-// line, capped at max_line_bytes.
-class LineFramer : public ConnectionFramer {
- public:
-  explicit LineFramer(int64_t max_line_bytes)
-      : max_line_bytes_(max_line_bytes) {}
-
-  Status Next(std::string* inbuf,
-              std::optional<std::string>* request) override {
-    const size_t newline = inbuf->find('\n');
-    // Reads overshoot the limit by up to one chunk, so a complete line
-    // can arrive alongside too many buffered bytes — enforce the limit
-    // on the line itself, not just on newline-less buffers.
-    if (newline == std::string::npos
-            ? static_cast<int64_t>(inbuf->size()) > max_line_bytes_
-            : static_cast<int64_t>(newline) > max_line_bytes_) {
-      return Status::OutOfRange("request line exceeds " +
-                                std::to_string(max_line_bytes_) + " bytes");
-    }
-    if (newline == std::string::npos) return Status::Ok();
-    request->emplace(inbuf->substr(0, newline));
-    inbuf->erase(0, newline + 1);
-    return Status::Ok();
-  }
-
- private:
-  const int64_t max_line_bytes_;
-};
-
 }  // namespace
+
+Status LineFramer::Next(std::string* inbuf,
+                        std::optional<std::string>* request) {
+  const size_t newline = inbuf->find('\n');
+  // Reads overshoot the limit by up to one chunk, so a complete line
+  // can arrive alongside too many buffered bytes — enforce the limit
+  // on the line itself, not just on newline-less buffers.
+  if (newline == std::string::npos
+          ? static_cast<int64_t>(inbuf->size()) > max_line_bytes_
+          : static_cast<int64_t>(newline) > max_line_bytes_) {
+    return Status::OutOfRange("request line exceeds " +
+                              std::to_string(max_line_bytes_) + " bytes");
+  }
+  if (newline == std::string::npos) return Status::Ok();
+  request->emplace(inbuf->substr(0, newline));
+  inbuf->erase(0, newline + 1);
+  return Status::Ok();
+}
 
 TcpServer::TcpServer(const TcpServerOptions& options, LineHandler handler,
                      ErrorFormatter error_formatter)

@@ -32,14 +32,14 @@ namespace colossal {
 //
 // Framing is pluggable: a ConnectionFramer instance per connection
 // splits the byte stream into complete request payloads (the default is
-// the newline framer of the counted-line protocol; net/http_server.h
-// installs an HTTP/1.1 framer). Up to max_pipeline handler jobs run
-// concurrently per connection; replies are queued by request sequence
-// number and released strictly in request order, so a pipelining client
-// always reads responses in the order it sent requests, whatever order
-// the handlers finished in. Once the pipeline is full the loop stops
-// polling that connection for input, so a client that keeps pushing is
-// throttled by TCP backpressure instead of unbounded buffering.
+// LineFramer, below; net/http_server.h installs an HTTP/1.1 framer). Up
+// to max_pipeline handler jobs run concurrently per connection; replies
+// are queued by request sequence number and released strictly in
+// request order, so a pipelining client always reads responses in the
+// order it sent requests, whatever order the handlers finished in.
+// Once the pipeline is full the loop stops polling that connection for
+// input, so a client that keeps pushing is throttled by TCP
+// backpressure instead of unbounded buffering.
 // Responses are flushed with partial-write handling (POLLOUT) so
 // arbitrarily large payloads stream without blocking the loop.
 //
@@ -67,6 +67,22 @@ class ConnectionFramer {
                       std::optional<std::string>* request) = 0;
 };
 
+// The counted-line protocol's framer, and the TcpServer default: one
+// request per '\n'-terminated line, capped at max_line_bytes (an
+// over-long line is OUT_OF_RANGE). colossal_serve's stdin daemon splits
+// its input with it too, so a pipe and a socket frame alike.
+class LineFramer : public ConnectionFramer {
+ public:
+  explicit LineFramer(int64_t max_line_bytes)
+      : max_line_bytes_(max_line_bytes) {}
+
+  Status Next(std::string* inbuf,
+              std::optional<std::string>* request) override;
+
+ private:
+  const int64_t max_line_bytes_;
+};
+
 struct TcpServerOptions {
   std::string host = "127.0.0.1";
   // 0 = kernel-assigned; read the resolved port with port() after
@@ -80,9 +96,9 @@ struct TcpServerOptions {
   // RESOURCE_EXHAUSTED error and closed after the flush.
   int max_connections = 64;
 
-  // Per-connection limit, two duties: the default newline framer
-  // rejects an input line longer than this (formatted OUT_OF_RANGE
-  // error, connection closed), and the loop stops reading a connection
+  // Per-connection limit, two duties: the default LineFramer rejects an
+  // input line longer than this (formatted OUT_OF_RANGE error,
+  // connection closed), and the loop stops reading a connection
   // whose unframed buffer exceeds it (backpressure). A custom framer
   // with its own element limits should set this to at least its largest
   // admissible request so reads never stall before the framer can
@@ -95,8 +111,7 @@ struct TcpServerOptions {
   // order regardless.
   int max_pipeline = 1;
 
-  // Builds the per-connection framer; null = the newline framer
-  // (requests are '\n'-terminated lines, capped at max_line_bytes).
+  // Builds the per-connection framer; null = LineFramer(max_line_bytes).
   std::function<std::unique_ptr<ConnectionFramer>()> framer_factory;
 
   int listen_backlog = 64;

@@ -30,6 +30,36 @@ int64_t NowUnixNanos() {
       .count();
 }
 
+// Mints a request id for a fault a transport detected before any
+// request line reached DispatchServeLine, and records the fault in the
+// flight recorder, so transport faults are correlatable like request
+// errors.
+uint64_t RecordTransportFault(MiningService& service,
+                              std::string_view transport,
+                              std::string_view status_name,
+                              int64_t response_bytes) {
+  const uint64_t id = service.flight_recorder().MintId();
+  FlightRecord record;
+  record.id = id;
+  record.start_unix_nanos = NowUnixNanos();
+  SetFlightField(record.transport, transport);
+  SetFlightField(record.source, "failed");
+  SetFlightField(record.status, status_name);
+  record.response_bytes = response_bytes;
+  service.RecordFlight(record);
+  return id;
+}
+
+// "error code=<CODE> id=N bytes=B\n" then the B-byte "<message>\n"
+// payload; request_id 0 omits the id= field.
+std::string ErrorFrame(const Status& status, uint64_t request_id) {
+  const std::string payload = status.message() + "\n";
+  std::string frame =
+      std::string("error code=") + StatusCodeName(status.code());
+  if (request_id != 0) frame += " id=" + std::to_string(request_id);
+  return frame + " bytes=" + std::to_string(payload.size()) + "\n" + payload;
+}
+
 // Parses the single numeric argument of `recent`/`trace` control words.
 bool ParseControlNumber(const std::string& text, uint64_t* out) {
   if (text.empty()) return false;
@@ -327,30 +357,18 @@ ServerReply FrameTcpReply(const ServeOutcome& outcome, bool send_patterns) {
                    std::to_string(outcome.metrics_text.size()) + "\n" +
                    outcome.metrics_text;
       break;
-    case ServeOutcome::Kind::kDebug: {
+    case ServeOutcome::Kind::kDebug:
       if (!outcome.debug_status.ok()) {
-        const std::string payload = outcome.debug_status.message() + "\n";
-        reply.data = std::string("error code=") +
-                     StatusCodeName(outcome.debug_status.code()) +
-                     " bytes=" + std::to_string(payload.size()) + "\n" +
-                     payload;
+        reply.data = ErrorFrame(outcome.debug_status, 0);
         break;
       }
       reply.data = outcome.debug_word +
                    " bytes=" + std::to_string(outcome.debug_text.size()) +
                    "\n" + outcome.debug_text;
       break;
-    }
     case ServeOutcome::Kind::kResponse: {
       if (!outcome.response.status.ok()) {
-        const std::string payload = outcome.response.status.message() + "\n";
-        reply.data = std::string("error code=") +
-                     StatusCodeName(outcome.response.status.code());
-        if (outcome.request_id != 0) {
-          reply.data += " id=" + std::to_string(outcome.request_id);
-        }
-        reply.data +=
-            " bytes=" + std::to_string(payload.size()) + "\n" + payload;
+        reply.data = ErrorFrame(outcome.response.status, outcome.request_id);
         break;
       }
       const std::string payload =
@@ -367,31 +385,13 @@ ServerReply FrameTcpReply(const ServeOutcome& outcome, bool send_patterns) {
   return reply;
 }
 
-ServerReply FrameTcpError(const Status& status) {
-  const std::string payload = status.message() + "\n";
+ServerReply FrameTcpError(MiningService& service, const Status& status,
+                          std::string_view transport) {
+  const uint64_t id = RecordTransportFault(
+      service, transport, StatusCodeName(status.code()),
+      static_cast<int64_t>(status.message().size()) + 1);
   ServerReply reply;
-  reply.data = std::string("error code=") + StatusCodeName(status.code()) +
-               " bytes=" + std::to_string(payload.size()) + "\n" + payload;
-  reply.close = true;
-  return reply;
-}
-
-ServerReply FrameTcpError(MiningService& service, const Status& status) {
-  const uint64_t id = service.flight_recorder().MintId();
-  FlightRecord record;
-  record.id = id;
-  record.start_unix_nanos = NowUnixNanos();
-  SetFlightField(record.transport, "tcp");
-  SetFlightField(record.source, "failed");
-  SetFlightField(record.status, StatusCodeName(status.code()));
-  record.response_bytes = static_cast<int64_t>(status.message().size()) + 1;
-  service.RecordFlight(record);
-
-  const std::string payload = status.message() + "\n";
-  ServerReply reply;
-  reply.data = std::string("error code=") + StatusCodeName(status.code()) +
-               " id=" + std::to_string(id) +
-               " bytes=" + std::to_string(payload.size()) + "\n" + payload;
+  reply.data = ErrorFrame(status, id);
   reply.close = true;
   return reply;
 }
@@ -494,21 +494,11 @@ HttpResponse HttpFromOutcome(const ServeOutcome& outcome,
 }
 
 // Frames an HTTP-layer fault (bad route, wrong method, unsupported
-// version) with a minted request id, and lands it in the flight
-// recorder so transport-level failures are correlatable exactly like
-// request errors.
+// version) with a minted, recorded request id.
 HttpResponse HttpFault(MiningService& service, int status, std::string body,
                        std::string_view status_name) {
-  const uint64_t id = service.flight_recorder().MintId();
-  FlightRecord record;
-  record.id = id;
-  record.start_unix_nanos = NowUnixNanos();
-  SetFlightField(record.transport, "http");
-  SetFlightField(record.source, "failed");
-  SetFlightField(record.status, status_name);
-  record.response_bytes = static_cast<int64_t>(body.size());
-  service.RecordFlight(record);
-
+  const uint64_t id = RecordTransportFault(
+      service, "http", status_name, static_cast<int64_t>(body.size()));
   HttpResponse response = PlainText(status, std::move(body));
   response.headers.emplace_back("X-Colossal-Request-Id", std::to_string(id));
   return response;

@@ -12,11 +12,10 @@
 namespace colossal {
 
 // The one request-dispatch path shared by every interactive front end of
-// colossal_serve — the stdin/stdout daemon and the TCP listen mode both
-// feed raw input lines through DispatchServeLine and render the same
-// ServeOutcome in their own framing. Keeping dispatch here (instead of
-// in the tool) is what guarantees the socket protocol and the pipe
-// protocol can never drift apart semantically.
+// colossal_serve — the stdin daemon, TCP and HTTP all feed raw request
+// lines through DispatchServeLine and render the same ServeOutcome. The
+// daemon and TCP also share one framing (FrameTcpReply), so a pipe
+// transcript and a socket stream parse alike.
 
 struct ServeOutcome {
   enum class Kind {
@@ -69,7 +68,7 @@ struct RequestFileLine {
 
 // Reads a request file — one request per line, blank lines and '#'
 // comments skipped — the single grammar `colossal_serve batch` replays
-// locally and `colossal_client --requests` replays over the wire (the
+// locally and `colossal_loadgen --requests` replays over the wire (the
 // CI net-smoke byte-identity check depends on both reading the same
 // set). Errors on an unreadable or request-free file.
 StatusOr<std::vector<RequestFileLine>> ReadRequestFile(
@@ -111,12 +110,11 @@ std::string FormatResponseHeader(const MiningResponse& response,
 // for the same request, which is what the CI net-smoke job asserts.
 std::string RenderPatternsPayload(const MiningResponse& response);
 
-// --- TCP framing -----------------------------------------------------------
+// --- Counted framing (TCP and the stdin daemon) -----------------------------
 //
-// The socket protocol wraps every outcome in counted framing: one status
-// line ending in " bytes=B\n", then exactly B payload bytes. Clients
-// never have to scan payload content for a terminator, so arbitrarily
-// large FIMI results stream safely.
+// Every outcome is one status line ending in " bytes=B\n", then exactly
+// B payload bytes. Clients never have to scan payload content for a
+// terminator, so arbitrarily large FIMI results stream safely.
 //
 //   ok source=... patterns=N iterations=I fingerprint=... ms=F id=N bytes=B
 //   <B bytes of patterns>                  (B = 0 with --no-patterns)
@@ -134,14 +132,14 @@ std::string RenderPatternsPayload(const MiningResponse& response);
 // flush. `send_patterns` false suppresses the payload (bytes=0).
 ServerReply FrameTcpReply(const ServeOutcome& outcome, bool send_patterns);
 
-// Frames transport-detected faults (oversized request line, connection
-// limit) exactly like request errors, so clients have one parse path.
-// Closes the connection after the flush. The service overload mints a
-// request id for the fault, surfaces it on the error header, and lands
-// the fault in the flight recorder — transport errors are correlatable
-// like request errors.
-ServerReply FrameTcpError(const Status& status);
-ServerReply FrameTcpError(MiningService& service, const Status& status);
+// Frames a transport-detected fault (oversized request line, connection
+// limit) exactly like a request error, so clients have one parse path,
+// and closes the session after the flush. The fault gets a minted
+// request id on its error header and a flight record naming
+// `transport` ("tcp", "stdin"), so it is correlatable like a request
+// error.
+ServerReply FrameTcpError(MiningService& service, const Status& status,
+                          std::string_view transport);
 
 // --- HTTP framing ----------------------------------------------------------
 //

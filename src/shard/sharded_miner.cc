@@ -190,10 +190,11 @@ int ShardedMiner::ResolveFanOut(const ColossalMinerOptions& options,
   if (options.shard_parallelism == 0 && residency_.budget_bytes <= 0) {
     return 1;
   }
+  // Auto (0) spends the request's thread budget: one job per thread.
   const int num_shards = static_cast<int>(manifest_.shards.size());
   int fan_out = options.shard_parallelism > 0
                     ? options.shard_parallelism
-                    : ParallelPolicy{0}.ResolvedThreads();
+                    : ResolveNumThreads(options.num_threads);
   if (fan_out > num_shards) fan_out = num_shards;
   if (residency_.budget_bytes > 0 && fan_out > 1) {
     const int admitted =
@@ -293,8 +294,8 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
   // Thread budget: the concurrent shard jobs split the request's
   // threads between them (at least one each), so a fan-out never runs
   // more miner threads than the request asked for.
-  const int job_threads = std::max(
-      1, ParallelPolicy{options.num_threads}.ResolvedThreads() / fan_out);
+  const int job_threads =
+      std::max(1, ResolveNumThreads(options.num_threads) / fan_out);
   auto mine_shard = [&](size_t i) -> StatusOr<ShardPool> {
     StatusOr<LoadedShard> shard = LoadShard(i, estimates[i]);
     if (!shard.ok()) return shard.status();

@@ -191,9 +191,9 @@ class ShardedMiner {
   // match the manifest's, and the item domain must fit the parent's.
   StatusOr<LoadedShard> LoadShard(size_t index, int64_t estimated_bytes) const;
 
-  // Phase-1 fan-out width for this request: min(resolved
-  // shard_parallelism, shard count, governor admission over the
-  // per-shard `estimates`).
+  // Phase-1 fan-out width for this request: min(shard_parallelism, or
+  // the resolved num_threads when it is 0 (auto); shard count; governor
+  // admission over the per-shard `estimates`).
   int ResolveFanOut(const ColossalMinerOptions& options,
                     const std::vector<int64_t>& estimates) const;
 

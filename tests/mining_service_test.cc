@@ -254,11 +254,16 @@ TEST_F(MiningServiceTest, FlightRecordsCarryTheFanOutUsed) {
   EXPECT_EQ(explicit_two.shards, 3);
   EXPECT_EQ(explicit_two.shard_parallelism, 2);
 
+  // Auto spends the request's thread budget: the service default of one
+  // mining thread walks the shards in turn, --threads 2 runs two jobs.
   const FlightRecord automatic =
       DispatchAndRecord(service, sharded + " --seed 5");
   EXPECT_STREQ(automatic.source, "mined");
-  EXPECT_GE(automatic.shard_parallelism, 1);
-  EXPECT_LE(automatic.shard_parallelism, 3);
+  EXPECT_EQ(automatic.shard_parallelism, 1);
+  const FlightRecord two_threads =
+      DispatchAndRecord(service, sharded + " --seed 6 --threads 2");
+  EXPECT_STREQ(two_threads.source, "mined");
+  EXPECT_EQ(two_threads.shard_parallelism, 2);
 
   const FlightRecord cached = DispatchAndRecord(service, sharded);
   EXPECT_STREQ(cached.source, "cache");

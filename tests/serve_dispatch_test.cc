@@ -4,6 +4,8 @@
 
 #include "service/dispatch.h"
 
+#include <unistd.h>
+
 #include <atomic>
 #include <string>
 #include <thread>
@@ -13,6 +15,8 @@
 
 #include "data/dataset_io.h"
 #include "data/generators.h"
+#include "net/socket_io.h"
+#include "obs/flight_recorder.h"
 #include "tests/metrics_scrape.h"
 
 namespace colossal {
@@ -248,10 +252,40 @@ TEST_F(ServeDispatchTest, TcpFramingForControlAndErrorOutcomes) {
   const size_t bytes_pos = bad.data.rfind(" bytes=", newline);
   EXPECT_EQ(std::stoull(bad.data.substr(bytes_pos + 7, newline - bytes_pos)),
             bad.data.size() - newline - 1);
+}
 
-  ServerReply transport = FrameTcpError(Status::OutOfRange("line too long"));
-  EXPECT_EQ(transport.data.rfind("error code=OUT_OF_RANGE bytes=", 0), 0u);
-  EXPECT_TRUE(transport.close);
+// The stdin daemon writes these same frames to stdout; ReadTcpFrame
+// parses such a transcript from a pipe just as it parses a socket.
+TEST_F(ServeDispatchTest, CountedFramesParseFromAPipeTranscript) {
+  const ServeOutcome mined = DispatchServeLine(service_, RequestLine());
+  ASSERT_TRUE(mined.response.status.ok());
+  const std::string transcript =
+      FrameTcpReply(mined, /*send_patterns=*/true).data +
+      FrameTcpReply(DispatchServeLine(service_, "--nope 1"), true).data +
+      FrameTcpReply(DispatchServeLine(service_, "quit"), true).data;
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  // Well under the pipe buffer, so no writer thread is needed.
+  ASSERT_EQ(::write(fds[1], transcript.data(), transcript.size()),
+            static_cast<ssize_t>(transcript.size()));
+  ::close(fds[1]);
+
+  SocketReader reader(fds[0]);
+  StatusOr<TcpFrame> ok = ReadTcpFrame(reader);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_TRUE(ok->ok);
+  EXPECT_EQ(ok->source, "mined");
+  EXPECT_EQ(ok->request_id, mined.request_id);
+  EXPECT_EQ(ok->payload, RenderPatternsPayload(mined.response));
+  StatusOr<TcpFrame> failed = ReadTcpFrame(reader);
+  ASSERT_TRUE(failed.ok()) << failed.status().ToString();
+  EXPECT_FALSE(failed->ok);
+  EXPECT_EQ(failed->header.rfind("error code=INVALID_ARGUMENT id=", 0), 0u);
+  StatusOr<TcpFrame> bye = ReadTcpFrame(reader);
+  ASSERT_TRUE(bye.ok()) << bye.status().ToString();
+  EXPECT_EQ(bye->header, "ok bye bytes=0");
+  EXPECT_TRUE(reader.AtEof());
+  ::close(fds[0]);
 }
 
 // --- Request ids and the flight recorder through dispatch -------------------
@@ -291,11 +325,18 @@ TEST_F(ServeDispatchTest, RequestIdsAreMonotoneAndKeepBytesLast) {
 TEST_F(ServeDispatchTest, TransportFaultsMintIdsAndRecord) {
   const int64_t before = service_.flight_recorder().recorded();
   ServerReply fault =
-      FrameTcpError(service_, Status::OutOfRange("line too long"));
+      FrameTcpError(service_, Status::OutOfRange("line too long"), "stdin");
   EXPECT_EQ(fault.data.rfind("error code=OUT_OF_RANGE id=", 0), 0u)
+      << fault.data;
+  EXPECT_NE(fault.data.find(" bytes=14\nline too long\n"), std::string::npos)
       << fault.data;
   EXPECT_TRUE(fault.close);
   EXPECT_EQ(service_.flight_recorder().recorded(), before + 1);
+  // The record names the transport that saw the fault.
+  const std::vector<FlightRecord> recent = service_.flight_recorder().Recent(1);
+  ASSERT_EQ(recent.size(), 1u);
+  EXPECT_STREQ(recent[0].transport, "stdin");
+  EXPECT_STREQ(recent[0].status, "OUT_OF_RANGE");
 }
 
 TEST_F(ServeDispatchTest, RecentControlWordListsFlightRecords) {

@@ -322,7 +322,7 @@ class ServeProtocolTest : public ::testing::Test {
         // The service overload mints a request id for transport faults
         // and lands them in the flight recorder, like production serve.
         [service](const Status& status) {
-          return FrameTcpError(*service, status);
+          return FrameTcpError(*service, status, "tcp");
         });
     Status started = server_->Start();
     ASSERT_TRUE(started.ok()) << started.ToString();

@@ -26,12 +26,6 @@ TEST(ResolveNumThreadsTest, ZeroResolvesToAtLeastOne) {
   EXPECT_GE(ResolveNumThreads(0), 1);
 }
 
-TEST(ParallelPolicyTest, DefaultsToAutoDetect) {
-  ParallelPolicy policy;
-  EXPECT_EQ(policy.num_threads, 0);
-  EXPECT_GE(policy.ResolvedThreads(), 1);
-}
-
 TEST(ThreadPoolTest, RunsEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   EXPECT_EQ(pool.num_threads(), 4);

@@ -5,7 +5,7 @@
 //
 // usage: colossal_loadgen --port N [--host H] --requests FILE
 //            [--connections N] [--repeat N] [--warmup N] [--out FILE]
-//            [--http]
+//            [--http] [--out-dir DIR]
 //
 // Opens --connections independent TCP connections to a
 // `colossal_serve listen` server. Each connection replays the request
@@ -22,6 +22,13 @@
 // counts as failed when the response status is not 200. The response
 // body carries the same payload bytes as the TCP framing, so the two
 // modes are load-equivalent.
+//
+// With --out-dir (which needs --connections 1), the payload of each
+// successful request of the first timed pass is written to
+// DIR/response_<i>.txt, i being the request's 1-based position in the
+// file — the naming `colossal_serve batch --out-dir` uses, so CI can
+// `cmp` a replay over the wire against local batch mode. The writes
+// happen outside each request's latency but inside wall_seconds.
 //
 // The report is one JSON object on stdout (and in --out FILE when
 // given):
@@ -63,6 +70,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <latch>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -80,12 +88,13 @@ namespace {
 constexpr const char kUsage[] =
     "usage: colossal_loadgen --port N [--host H] --requests FILE\n"
     "           [--connections N] [--repeat N] [--warmup N] [--out FILE]\n"
-    "           [--http]\n"
+    "           [--http] [--out-dir DIR]\n"
     "replays a request file over N concurrent connections against a\n"
     "'colossal_serve listen' server and reports QPS and client-side\n"
     "latency percentiles as JSON; --http sends each request line as a\n"
     "keep-alive POST /mine against the server's --http-port instead of\n"
-    "the newline framing\n"
+    "the newline framing; --out-dir (with --connections 1) writes each\n"
+    "response payload of the first timed pass to DIR/response_<i>.txt\n"
     "(see the header of tools/colossal_loadgen.cc for details)\n";
 
 int Fail(const Status& status) {
@@ -171,11 +180,25 @@ StatusOr<HttpReply> ReadHttpReply(SocketReader& reader) {
   return reply;
 }
 
+// Writes the payload of request `index` (0-based) as
+// DIR/response_<index + 1>.txt, zero-padded like batch mode's files.
+Status WriteResponseFile(const std::string& dir, size_t index,
+                         const std::string& payload) {
+  char name[48];
+  std::snprintf(name, sizeof(name), "/response_%04zu.txt", index + 1);
+  std::ofstream file(dir + name, std::ios::binary);
+  file.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+  if (!file) return Status::Internal("cannot write " + dir + name);
+  return Status::Ok();
+}
+
 // One connection's replay loop: warmup passes untimed, then wait on the
-// start latch, then timed passes.
+// start latch, then timed passes. A non-empty `out_dir` receives the
+// first timed pass's payloads.
 void RunConnection(const std::string& host, int port, bool http,
                    const std::vector<std::string>& lines, int warmup,
-                   int repeat, std::latch* start, ConnectionResult* result) {
+                   int repeat, const std::string& out_dir, std::latch* start,
+                   ConnectionResult* result) {
   StatusOr<int> dial = DialTcp(host, port);
   if (!dial.ok()) {
     result->error = dial.status();
@@ -203,12 +226,16 @@ void RunConnection(const std::string& host, int port, bool http,
     }
   };
 
-  auto one_request = [&](const std::string& line, bool timed) {
+  // Sends one line and reads its reply; a successful reply's payload
+  // lands in *payload_out when one is given. False when the connection
+  // broke.
+  auto one_request = [&](const std::string& line, bool timed,
+                         std::optional<std::string>* payload_out) {
     const auto begin = std::chrono::steady_clock::now();
     bool request_ok = false;
     std::string status_text;
     std::string source;
-    std::string error_payload;
+    std::string payload;
     uint64_t request_id = 0;
     if (http) {
       std::string request = "POST /mine HTTP/1.1\r\nHost: " + host +
@@ -225,7 +252,7 @@ void RunConnection(const std::string& host, int port, bool http,
       request_ok = reply->status == 200;
       status_text = reply->status_line;
       request_id = reply->request_id;
-      if (!request_ok) error_payload = reply->body;
+      payload = std::move(reply->body);
       // "ok source=mined patterns=..." rides in X-Colossal-Response.
       const size_t at = reply->colossal_header.find("source=");
       if (at != std::string::npos) {
@@ -246,8 +273,11 @@ void RunConnection(const std::string& host, int port, bool http,
       request_ok = frame->ok;
       status_text = frame->header;
       request_id = frame->request_id;
-      if (!request_ok) error_payload = frame->payload;
+      payload = std::move(frame->payload);
       source = frame->source;
+    }
+    if (request_ok && payload_out != nullptr) {
+      *payload_out = std::move(payload);
     }
     if (!timed) {
       if (!request_ok) note_failure(line, status_text);
@@ -267,7 +297,7 @@ void RunConnection(const std::string& host, int port, bool http,
       ++result->failed;
       note_failure(line, status_text);
       std::fprintf(stderr, "request failed: %s\n%s", status_text.c_str(),
-                   error_payload.c_str());
+                   payload.c_str());
     } else {
       tally_source(source);
     }
@@ -277,15 +307,23 @@ void RunConnection(const std::string& host, int port, bool http,
   bool alive = true;
   for (int pass = 0; alive && pass < warmup; ++pass) {
     for (const std::string& line : lines) {
-      if (!(alive = one_request(line, /*timed=*/false))) break;
+      if (!(alive = one_request(line, /*timed=*/false, nullptr))) break;
     }
   }
   // Arrive even after a warmup failure: the latch must release the
   // other connections either way.
   start->arrive_and_wait();
   for (int pass = 0; alive && pass < repeat; ++pass) {
-    for (const std::string& line : lines) {
-      if (!(alive = one_request(line, /*timed=*/true))) break;
+    const bool save = pass == 0 && !out_dir.empty();
+    for (size_t i = 0; alive && i < lines.size(); ++i) {
+      std::optional<std::string> payload;
+      alive = one_request(lines[i], /*timed=*/true, save ? &payload : nullptr);
+      if (!payload) continue;  // not saving, or the request failed
+      Status written = WriteResponseFile(out_dir, i, *payload);
+      if (!written.ok()) {
+        result->error = written;
+        alive = false;
+      }
     }
   }
   ::close(fd);
@@ -347,8 +385,9 @@ int Main(int argc, char** argv) {
     std::fputs(kUsage, stdout);
     return 0;
   }
-  Status known = args.CheckKnown({"port", "host", "requests", "connections",
-                                  "repeat", "warmup", "out", "http"});
+  Status known =
+      args.CheckKnown({"port", "host", "requests", "connections", "repeat",
+                       "warmup", "out", "http", "out-dir"});
   if (!known.ok()) return Fail(known);
   const bool http = args.Has("http");
 
@@ -363,13 +402,14 @@ int Main(int argc, char** argv) {
   const std::string host = args.GetString("host", "127.0.0.1");
   const std::string requests_path = args.GetString("requests");
   const std::string out_path = args.GetString("out");
+  const std::string out_dir = args.GetString("out-dir");
 
   if (*port < 1 || *port > 65535 || requests_path.empty() ||
       *connections < 1 || *connections > 1024 || *repeat < 1 ||
-      *warmup < 0) {
+      *warmup < 0 || (!out_dir.empty() && *connections != 1)) {
     return Fail(Status::InvalidArgument(
         "need --port in [1, 65535], --requests FILE, --connections in "
-        "[1, 1024], --repeat >= 1, --warmup >= 0"));
+        "[1, 1024] (1 with --out-dir), --repeat >= 1, --warmup >= 0"));
   }
 
   StatusOr<std::vector<RequestFileLine>> from_file =
@@ -395,7 +435,8 @@ int Main(int argc, char** argv) {
   for (int i = 0; i < num_connections; ++i) {
     workers.emplace_back(RunConnection, host, static_cast<int>(*port), http,
                          std::cref(lines), static_cast<int>(*warmup),
-                         static_cast<int>(*repeat), &start, &results[i]);
+                         static_cast<int>(*repeat), std::cref(out_dir),
+                         &start, &results[i]);
   }
   for (std::thread& worker : workers) worker.join();
   const double wall_seconds =

@@ -1,4 +1,5 @@
-// colossal_serve — batch/daemon front end to the mining service layer.
+// colossal_serve — batch, stdin and network front ends to the mining
+// service layer.
 //
 // Subcommands:
 //   batch   --requests FILE [--out-dir DIR] [--threads N]
@@ -13,57 +14,44 @@
 //       instead of coalescing). Exits nonzero if any request failed.
 //   daemon  [--mining-threads N] [--shard-parallelism N]
 //           [--cache-entries N] [--registry-mb N] [--no-patterns]
-//       Line-delimited request/response loop on stdin/stdout. Each input
-//       line is a request (same grammar as batch), or one of:
-//         stats       print registry/cache statistics (one line)
-//         metrics     print the full Prometheus-style text exposition,
-//                     terminated by a single '.' line
-//         recent [n]  print the n most recent flight records as JSON,
-//                     '.'-terminated (default 32)
-//         trace <id>  print one flight record by request id as JSON
-//         quit        exit
-//       Responses are a header line
-//         ok source=<mined|cache|coalesced> patterns=N iterations=I \
-//            fingerprint=<hex> ms=<float> id=N
-//       followed (unless --no-patterns) by the patterns and a single '.'
-//       terminator line; errors print "error: <message> id=N". The id
-//       is process-monotonic and keys the flight recorder.
+//       One session on stdin/stdout that behaves like one TCP connection
+//       to `listen`: the same LineFramer splits stdin (1 MiB line cap)
+//       and every reply is a counted frame, so a transcript parses like
+//       a socket stream. A line over the cap answers
+//       `error code=OUT_OF_RANGE` and ends the session with exit status
+//       1; quit, shutdown and EOF end it with 0. A last line without its
+//       newline is not answered, as on a socket.
 //   listen  --port N [--host H] [--threads N] [--mining-threads N]
 //           [--shard-parallelism N] [--cache-entries N] [--registry-mb N]
 //           [--no-patterns] [--max-connections N] [--max-line-kb N]
 //           [--http-port N] [--http-pipeline N]
 //           [--max-inflight-mines N] [--max-inflight-mine-kb N]
-//       The same request grammar served over TCP (net/tcp_server.h).
-//       --port 0 picks a free port; the resolved one is printed as
+//       The same protocol over TCP (net/tcp_server.h). --port 0 picks a
+//       free port; the resolved one is printed as
 //         listening host=H port=N
 //       With --http-port (0 = auto again), an HTTP/1.1 front end
-//       (net/http_server.h) serves alongside the TCP port over the same
-//       MiningService and dispatch path — POST /mine (request line as
-//       the body; the response body is byte-identical to the TCP
-//       payload), GET /metrics, GET /stats, GET /healthz,
-//       GET /debug/requests?n=K and GET /debug/requests/<id>
-//       (flight-recorder JSON) — printed as
+//       (net/http_server.h) serves beside it over the same MiningService:
+//       POST /mine (a request line as the body; the response body is
+//       byte-identical to the counted payload), GET /metrics, /stats,
+//       /healthz, /debug/requests?n=K and /debug/requests/<id>. It is
+//       printed as
 //         listening http host=H port=N
 //       --max-inflight-mines / --max-inflight-mine-kb bound admission:
 //       over-limit mines fail RESOURCE_EXHAUSTED (HTTP 429 with
 //       Retry-After) instead of queueing; cache hits always serve.
-//       Responses use counted framing so clients can stream large
-//       results safely: every response is one status line ending in
-//       bytes=B, followed by exactly B payload bytes —
-//         ok source=... patterns=N iterations=I fingerprint=... \
-//            ms=F id=N bytes=B   (B bytes of FIMI patterns; 0 with
-//                                 --no-patterns)
-//         error code=<CODE> id=N bytes=B   (B bytes of error message)
-//         stats ... bytes=0
-//         metrics bytes=B             (B bytes of exposition text)
-//         recent bytes=B / trace bytes=B   (B bytes of flight-recorder
-//                                           JSON)
-//       Control words: stats, metrics, recent [n], trace <id>, quit/exit
-//       (close this connection), shutdown (gracefully stop the whole
-//       server). Use tools/colossal_client.cc as the reference client.
 //
-// Request dispatch for daemon and listen is one shared path
-// (service/dispatch.h), so the two transports cannot drift.
+// The line protocol (daemon and TCP; service/dispatch.h has the frames):
+// each input line is a request or a control word — stats, metrics,
+// recent [n], trace <id>, quit/exit (end this session) or shutdown (also
+// stop a listen server). Every reply is one status line ending in
+// bytes=B, then exactly B payload bytes. A mined response's status line
+// (one line, wrapped here) is
+//   ok source=<mined|cache|coalesced> patterns=N iterations=I
+//   fingerprint=<hex> ms=F id=N bytes=B
+// followed by the FIMI patterns (none with --no-patterns). A failed
+// request answers `error code=<CODE> id=N bytes=B` and its message. The
+// id is process-monotonic and keys the flight recorder. colossal_loadgen
+// replays request files over TCP or HTTP.
 //
 // Request line grammar (see service/request.h):
 //   --in FILE [--format fimi|matrix|snapshot|manifest|auto]
@@ -85,16 +73,20 @@
 // the parent and shares its cache entries; --shards fuse runs the
 // approximate cross-shard fusion under its own cache key. Phase-1
 // per-shard mining fans out across --shard-parallelism concurrent shard
-// jobs (request flag, or the service-level default set here; 0 = auto),
-// capped by the residency governor so concurrently resident shards
-// always fit --registry-mb; output is identical for any value.
+// jobs (request flag, or the service-level default set here; 0 = auto:
+// up to the request's mining threads), capped by the residency governor
+// so concurrently resident shards always fit --registry-mb; output is
+// identical for any value.
 
+#include <unistd.h>
+
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <fstream>
+#include <cstring>
 #include <iostream>
 #include <memory>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -301,59 +293,38 @@ int RunDaemon(const Args& args) {
   StatusOr<MiningServiceOptions> service_options =
       ServiceOptionsFromArgs(args);
   if (!service_options.ok()) return Fail(service_options.status());
-  const bool print_patterns = !args.Has("no-patterns");
+  const bool send_patterns = !args.Has("no-patterns");
 
   MiningService service(*service_options);
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    ServeOutcome outcome = DispatchServeLine(service, line, "stdin");
-    switch (outcome.kind) {
-      case ServeOutcome::Kind::kEmpty:
-        continue;
-      case ServeOutcome::Kind::kQuit:
-      case ServeOutcome::Kind::kShutdown:  // no transport to stop: quit
-        return 0;
-      case ServeOutcome::Kind::kStats:
-        std::printf("%s\n", outcome.stats_line.c_str());
-        break;
-      case ServeOutcome::Kind::kMetrics:
-        // Exposition text, then the same '.' terminator patterns use, so
-        // line-oriented consumers know where the block ends.
-        std::fputs(outcome.metrics_text.c_str(), stdout);
-        std::printf(".\n");
-        break;
-      case ServeOutcome::Kind::kDebug:
-        // recent/trace: flight-recorder JSON, '.'-terminated like
-        // metrics so line-oriented consumers know where it ends.
-        if (!outcome.debug_status.ok()) {
-          std::printf("error: %s\n", outcome.debug_status.ToString().c_str());
-          break;
-        }
-        std::fputs(outcome.debug_text.c_str(), stdout);
-        std::printf(".\n");
-        break;
-      case ServeOutcome::Kind::kResponse:
-        if (!outcome.response.status.ok()) {
-          std::printf("error: %s id=%llu\n",
-                      outcome.response.status.ToString().c_str(),
-                      static_cast<unsigned long long>(outcome.request_id));
-          break;
-        }
-        std::printf("%s\n",
-                    FormatResponseHeader(outcome.response, outcome.request_id)
-                        .c_str());
-        if (print_patterns) {
-          std::fputs(outcome.patterns_rendered
-                         ? outcome.patterns_payload.c_str()
-                         : RenderPatternsPayload(outcome.response).c_str(),
-                     stdout);
-          std::printf(".\n");
-        }
-        break;
+  LineFramer framer(TcpServerOptions().max_line_bytes);
+  std::string inbuf;
+  while (true) {
+    std::optional<std::string> line;
+    const Status framed = framer.Next(&inbuf, &line);
+    if (framed.ok() && !line.has_value()) {
+      char chunk[4096];
+      const ssize_t n = ::read(STDIN_FILENO, chunk, sizeof(chunk));
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0) {
+        return Fail(Status::Internal(std::string("read stdin: ") +
+                                     std::strerror(errno)));
+      }
+      if (n == 0) return 0;
+      inbuf.append(chunk, static_cast<size_t>(n));
+      continue;
     }
-    std::fflush(stdout);
+    const ServerReply reply =
+        framed.ok()
+            ? FrameTcpReply(DispatchServeLine(service, *line, "stdin"),
+                            send_patterns)
+            : FrameTcpError(service, framed, "stdin");
+    if (std::fwrite(reply.data.data(), 1, reply.data.size(), stdout) !=
+            reply.data.size() ||
+        std::fflush(stdout) != 0) {
+      return 1;
+    }
+    if (reply.close) return framed.ok() ? 0 : 1;
   }
-  return 0;
 }
 
 // SIGINT/SIGTERM → graceful stop (RequestStop is async-signal-safe).
@@ -422,10 +393,8 @@ int RunListen(const Args& args) {
         return FrameTcpReply(DispatchServeLine(service, line, "tcp"),
                              send_patterns);
       },
-      // Transport faults go through the service overload so they mint a
-      // request id and land in the flight recorder too.
       [&service](const Status& status) {
-        return FrameTcpError(service, status);
+        return FrameTcpError(service, status, "tcp");
       });
 
   std::unique_ptr<HttpServer> http_server;
