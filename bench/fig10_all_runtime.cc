@@ -80,10 +80,10 @@ int main() {
 
     table.AddRow(
         {std::to_string(sigma),
-         (maximal->stats.budget_exceeded ? ">" : "") +
-             TablePrinter::FormatSeconds(maximal_seconds),
-         (topk->stats.budget_exceeded ? ">" : "") +
-             TablePrinter::FormatSeconds(topk_seconds),
+         std::string(maximal->stats.budget_exceeded ? ">" : "")
+             .append(TablePrinter::FormatSeconds(maximal_seconds)),
+         std::string(topk->stats.budget_exceeded ? ">" : "")
+             .append(TablePrinter::FormatSeconds(topk_seconds)),
          TablePrinter::FormatSeconds(fusion_seconds),
          std::to_string(
              fusion->patterns.empty() ? 0 : fusion->patterns[0].size())});

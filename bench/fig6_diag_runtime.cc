@@ -44,8 +44,8 @@ int main() {
       return 1;
     }
     const std::string baseline_cell =
-        (baseline->stats.budget_exceeded ? ">" : "") +
-        TablePrinter::FormatSeconds(baseline_seconds);
+        std::string(baseline->stats.budget_exceeded ? ">" : "")
+            .append(TablePrinter::FormatSeconds(baseline_seconds));
     const std::string baseline_count =
         std::to_string(baseline->patterns.size()) +
         (baseline->stats.budget_exceeded ? "+" : "");

@@ -8,6 +8,7 @@
 
 #include "common/bitvector_kernels.h"
 #include "common/stopwatch.h"
+#include "common/thread_pool.h"
 #include "core/pattern.h"
 #include "mining/result_io.h"
 #include "obs/flight_recorder.h"
@@ -28,6 +29,57 @@ int64_t NowUnixNanos() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::system_clock::now().time_since_epoch())
       .count();
+}
+
+// An error message can quote request text — an unknown flag, a bad
+// value, a path — as long as the line cap allows. The service's own
+// wording around such text never comes near this.
+constexpr size_t kMaxErrorMessageBytes = 1024;
+
+Status CapErrorMessage(const Status& status) {
+  const std::string& message = status.message();
+  if (message.size() <= kMaxErrorMessageBytes) return status;
+  return Status(status.code(),
+                message.substr(0, kMaxErrorMessageBytes) +
+                    "... (truncated from " + std::to_string(message.size()) +
+                    " bytes)");
+}
+
+// Assembles the flight record for one finished request from what each
+// layer knows: identity from the request/response, the phase breakdown
+// and per-request observables from the trace, and the transport, bytes
+// and wall time measured here. `request` is null for a line that failed
+// to parse (no dataset identity).
+FlightRecord BuildFlightRecord(uint64_t id, int64_t start_unix_nanos,
+                               std::string_view transport,
+                               const MineRequest* request,
+                               const MiningResponse& response,
+                               const RequestTrace& trace,
+                               int64_t response_bytes, int64_t total_nanos) {
+  FlightRecord record;
+  record.id = id;
+  record.start_unix_nanos = start_unix_nanos;
+  SetFlightField(record.transport, transport);
+  if (request != nullptr) {
+    SetFlightField(record.dataset, request->dataset_path);
+  }
+  record.dataset_fingerprint = response.dataset_fingerprint;
+  record.options_hash = response.options_hash;
+  SetFlightField(record.source, ResponseSourceName(response.source));
+  SetFlightField(record.status, StatusCodeName(response.status.code()));
+  record.response_bytes = response_bytes;
+  record.total_nanos = total_nanos;
+  for (int i = 0; i < kNumTracePhases; ++i) {
+    record.phase_nanos[i] = trace.nanos(static_cast<TracePhase>(i));
+  }
+  record.admission_wait_nanos =
+      trace.admission_wait_nanos.load(std::memory_order_relaxed);
+  record.arena_peak_bytes =
+      trace.arena_peak_bytes.load(std::memory_order_relaxed);
+  record.shards = response.shards;
+  record.shard_parallelism =
+      trace.shard_parallelism.load(std::memory_order_relaxed);
+  return record;
 }
 
 // Mints a request id for a fault a transport detected before any
@@ -163,6 +215,16 @@ StatusOr<std::vector<RequestFileLine>> ReadRequestFile(
   return lines;
 }
 
+Status WriteResponseFile(const std::string& dir, size_t index,
+                         const std::string& payload) {
+  char name[48];
+  std::snprintf(name, sizeof(name), "/response_%04zu.txt", index + 1);
+  std::ofstream file(dir + name, std::ios::binary);
+  file.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+  if (!file) return Status::Internal("cannot write " + dir + name);
+  return Status::Ok();
+}
+
 ServeOutcome DispatchServeLine(MiningService& service,
                                const std::string& line,
                                std::string_view transport) {
@@ -216,22 +278,15 @@ ServeOutcome DispatchServeLine(MiningService& service,
   PhaseTimer parse_timer(&trace, TracePhase::kParse);
   StatusOr<MineRequest> request = ParseRequestLine(line);
   parse_timer.Stop();
-  if (!request.ok()) {
+  if (request.ok()) {
+    outcome.response = service.Mine(*request, &trace);
+  } else {
     outcome.response.status = request.status();
     outcome.response.source = ResponseSource::kFailed;
     service.NoteParseFailure();
     service.RecordPhaseNanos(TracePhase::kParse,
                              trace.nanos(TracePhase::kParse));
-    // The framed error payload is "<message>\n".
-    const int64_t error_bytes =
-        static_cast<int64_t>(request.status().message().size()) + 1;
-    service.RecordFlight(BuildFlightRecord(
-        outcome.request_id, start_unix_nanos, transport, nullptr,
-        outcome.response, trace, error_bytes,
-        static_cast<int64_t>(request_watch.ElapsedSeconds() * 1e9)));
-    return outcome;
   }
-  outcome.response = service.Mine(*request, &trace);
   int64_t response_bytes = 0;
   if (outcome.response.status.ok()) {
     // Serialize once, here, for both transports; the render is the one
@@ -246,14 +301,30 @@ ServeOutcome DispatchServeLine(MiningService& service,
     trace.AddNanos(TracePhase::kSerialize, serialize_nanos);
     response_bytes = static_cast<int64_t>(outcome.patterns_payload.size());
   } else {
+    // Capped once here, so every transport frames the same bounded
+    // "<message>\n" payload and the flight record counts it.
+    outcome.response.status = CapErrorMessage(outcome.response.status);
     response_bytes =
         static_cast<int64_t>(outcome.response.status.message().size()) + 1;
   }
   service.RecordFlight(BuildFlightRecord(
-      outcome.request_id, start_unix_nanos, transport, &*request,
-      outcome.response, trace, response_bytes,
+      outcome.request_id, start_unix_nanos, transport,
+      request.ok() ? &*request : nullptr, outcome.response, trace,
+      response_bytes,
       static_cast<int64_t>(request_watch.ElapsedSeconds() * 1e9)));
   return outcome;
+}
+
+std::vector<ServeOutcome> DispatchBatch(MiningService& service,
+                                        const std::vector<std::string>& lines,
+                                        int threads) {
+  std::vector<ServeOutcome> outcomes(lines.size());
+  ThreadPool pool(threads);
+  pool.ParallelFor(static_cast<int64_t>(lines.size()), [&](int64_t i) {
+    outcomes[static_cast<size_t>(i)] =
+        DispatchServeLine(service, lines[static_cast<size_t>(i)], "batch");
+  });
+  return outcomes;
 }
 
 std::string FormatStatsLine(const MiningService& service) {

@@ -11,11 +11,11 @@
 
 namespace colossal {
 
-// The one request-dispatch path shared by every interactive front end of
-// colossal_serve — the stdin daemon, TCP and HTTP all feed raw request
-// lines through DispatchServeLine and render the same ServeOutcome. The
-// daemon and TCP also share one framing (FrameTcpReply), so a pipe
-// transcript and a socket stream parse alike.
+// The one request-dispatch path shared by every front end of
+// colossal_serve — batch replay, the stdin daemon, TCP and HTTP all feed
+// raw request lines through DispatchServeLine and render the same
+// ServeOutcome. The daemon and TCP also share one framing
+// (FrameTcpReply), so a pipe transcript and a socket stream parse alike.
 
 struct ServeOutcome {
   enum class Kind {
@@ -74,20 +74,39 @@ struct RequestFileLine {
 StatusOr<std::vector<RequestFileLine>> ReadRequestFile(
     const std::string& path);
 
+// Writes the payload of request `index` (0-based) to
+// DIR/response_<index + 1>.txt, zero-padded to four digits — the file
+// naming `colossal_serve batch --out-dir` and `colossal_loadgen
+// --out-dir` share, so CI can `cmp` a wire replay against a local one.
+Status WriteResponseFile(const std::string& dir, size_t index,
+                         const std::string& payload);
+
 // Interprets one input line of the serve protocol against `service`:
 // strips leading whitespace, recognizes the control words ("stats",
 // "metrics", "recent [n]", "trace <id>", "quit"/"exit", "shutdown"),
 // parses request lines with ParseRequestLine, and mines synchronously.
 // Parse errors surface as kResponse with a failed status so callers
-// have a single error-rendering path. Every request line is traced
+// have a single error-rendering path; a failed status's message is
+// capped at 1 KiB plus a marker naming its original length, since it
+// can quote request text of any length. Every request line is traced
 // (parse, mining phases, and payload serialization land in the
 // service's per-phase latency histograms), minted a request id, and
 // recorded into the service's flight recorder — errors included.
 // `transport` names the front end for the flight record ("tcp",
-// "http", "stdin", ...).
+// "http", "stdin", "batch", ...).
 ServeOutcome DispatchServeLine(MiningService& service,
                                const std::string& line,
                                std::string_view transport = "local");
+
+// Batch replay: DispatchServeLine(service, line, "batch") for every
+// line, on a ThreadPool of `threads` workers (0 = one per core), with
+// the outcomes returned in line order. Identical and equivalent lines
+// dedup exactly as on the other transports, through the result cache
+// and the in-flight table: at one thread a repeat is a cache hit; with
+// more it is a cache hit or a wait on the identical mine still running.
+std::vector<ServeOutcome> DispatchBatch(MiningService& service,
+                                        const std::vector<std::string>& lines,
+                                        int threads);
 
 // "stats cache_hits=... cache_misses=... cache_entries=...
 //  cache_evictions=... dataset_loads=... dataset_hits=...
@@ -106,8 +125,8 @@ std::string FormatResponseHeader(const MiningResponse& response,
                                  uint64_t request_id = 0);
 
 // The FIMI-format pattern payload for a successful response ("" when the
-// result is null). Byte-identical to what batch mode's --out-dir writes
-// for the same request, which is what the CI net-smoke job asserts.
+// result is null) — what batch mode's --out-dir writes for the request,
+// and what the CI net-smoke job compares a wire replay against.
 std::string RenderPatternsPayload(const MiningResponse& response);
 
 // --- Counted framing (TCP and the stdin daemon) -----------------------------

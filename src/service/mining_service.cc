@@ -128,8 +128,7 @@ MiningService::MiningService(const MiningServiceOptions& options)
       slow_log_refill_(start_time_),
       admission_(options.max_inflight_mines, options.max_inflight_mine_bytes),
       registry_(WithMetrics(options.registry, metrics_)),
-      cache_(WithMetrics(options.cache, metrics_)),
-      pool_(options.num_threads) {
+      cache_(WithMetrics(options.cache, metrics_)) {
   for (int i = 0; i < kNumTracePhases; ++i) {
     const TracePhase phase = static_cast<TracePhase>(i);
     phase_seconds_[i] = metrics_->GetHistogram(
@@ -203,38 +202,6 @@ void MiningService::RecordFlight(const FlightRecord& record) {
   }
 }
 
-FlightRecord BuildFlightRecord(uint64_t id, int64_t start_unix_nanos,
-                               std::string_view transport,
-                               const MineRequest* request,
-                               const MiningResponse& response,
-                               const RequestTrace& trace,
-                               int64_t response_bytes, int64_t total_nanos) {
-  FlightRecord record;
-  record.id = id;
-  record.start_unix_nanos = start_unix_nanos;
-  SetFlightField(record.transport, transport);
-  if (request != nullptr) {
-    SetFlightField(record.dataset, request->dataset_path);
-  }
-  record.dataset_fingerprint = response.dataset_fingerprint;
-  record.options_hash = response.options_hash;
-  SetFlightField(record.source, ResponseSourceName(response.source));
-  SetFlightField(record.status, StatusCodeName(response.status.code()));
-  record.response_bytes = response_bytes;
-  record.total_nanos = total_nanos;
-  for (int i = 0; i < kNumTracePhases; ++i) {
-    record.phase_nanos[i] = trace.nanos(static_cast<TracePhase>(i));
-  }
-  record.admission_wait_nanos =
-      trace.admission_wait_nanos.load(std::memory_order_relaxed);
-  record.arena_peak_bytes =
-      trace.arena_peak_bytes.load(std::memory_order_relaxed);
-  record.shards = response.shards;
-  record.shard_parallelism =
-      trace.shard_parallelism.load(std::memory_order_relaxed);
-  return record;
-}
-
 void MiningService::NoteParseFailure() {
   requests_total_->Increment();
   parse_failures_->Increment();
@@ -270,7 +237,6 @@ void MiningService::FlushTrace(const RequestTrace& trace) {
 }
 
 MiningService::Prepared MiningService::Prepare(const MineRequest& request,
-                                               bool keep_dataset,
                                                RequestTrace* trace) {
   Prepared prep;
   bool is_manifest = request.format == "manifest";
@@ -342,7 +308,6 @@ MiningService::Prepared MiningService::Prepare(const MineRequest& request,
   }
   prep.canonical = *std::move(canonical);
   prep.key = ResultCacheKey{prep.fingerprint, prep.canonical.options_hash};
-  if (!keep_dataset) prep.handle.db.reset();
   return prep;
 }
 
@@ -369,24 +334,7 @@ StatusOr<ColossalMiningResult> MiningService::RunMine(
   Arena request_arena;
   ArenaPeakRecorder record_peak(&trace->arena_peak_bytes, &request_arena);
   if (!prep.sharded) {
-    std::shared_ptr<const TransactionDatabase> db = prep.handle.db;
-    if (db == nullptr) {
-      // Batch prep dropped the handle; re-resolve (usually a registry
-      // hit). A fingerprint that moved means the file was rewritten
-      // after the key was computed — mining the new content would cache
-      // it under the old content's key, so fail the request instead.
-      PhaseTimer timer(trace, TracePhase::kRegistry);
-      StatusOr<DatasetHandle> fresh =
-          registry_.Get(request.dataset_path, request.format);
-      timer.Stop();
-      if (!fresh.ok()) return fresh.status();
-      if (fresh->fingerprint != prep.fingerprint) {
-        return Status::FailedPrecondition(
-            request.dataset_path + " changed while the batch was in flight");
-      }
-      db = fresh->db;
-    }
-    return MineColossal(*db, exec, &request_arena, trace);
+    return MineColossal(*prep.handle.db, exec, &request_arena, trace);
   }
   // Shards load through the registry's concurrent-admission API:
   // GetPinned reserves the estimate before reading, so however many
@@ -573,142 +521,12 @@ MiningResponse MiningService::Mine(const MineRequest& request,
   if (trace == nullptr) trace = &local_trace;
   requests_total_->Increment();
   Stopwatch stopwatch;
-  const Prepared prep = Prepare(request, /*keep_dataset=*/true, trace);
+  const Prepared prep = Prepare(request, trace);
   MiningResponse response = Execute(request, prep, trace);
   response.seconds = stopwatch.ElapsedSeconds();
   FlushTrace(*trace);
   NoteResponse(response);
   return response;
-}
-
-std::vector<MiningResponse> MiningService::MineBatch(
-    const std::vector<MineRequest>& requests) {
-  const size_t n = requests.size();
-  std::vector<MiningResponse> responses(n);
-  requests_total_->Increment(static_cast<int64_t>(n));
-
-  // Phase 1: resolve every request to its cache key (dataset loads fan
-  // out across the pool, exactly as mining used to). Per-request traces
-  // feed the same phase histograms as single mines; each request's
-  // accumulators are flushed once, after its response is final.
-  std::vector<Prepared> prepared(n);
-  std::vector<double> prep_seconds(n, 0.0);
-  std::vector<RequestTrace> traces(n);
-  pool_.ParallelFor(static_cast<int64_t>(n), [&](int64_t i) {
-    Stopwatch stopwatch;
-    prepared[static_cast<size_t>(i)] =
-        Prepare(requests[static_cast<size_t>(i)], /*keep_dataset=*/false,
-                &traces[static_cast<size_t>(i)]);
-    prep_seconds[static_cast<size_t>(i)] = stopwatch.ElapsedSeconds();
-  });
-
-  // Phase 2: group by canonical cache key (verifying canonical options,
-  // so a 64-bit collision falls into its own group instead of sharing a
-  // result). The first request of a group is its representative; exact
-  // sharded and unsharded requests over the same content group together
-  // because their results are interchangeable by construction.
-  std::vector<std::vector<size_t>> groups;
-  std::unordered_map<ResultCacheKey, std::vector<size_t>, ResultCacheKeyHash>
-      groups_by_key;
-  for (size_t i = 0; i < n; ++i) {
-    if (!prepared[i].status.ok()) {
-      responses[i] =
-          Execute(requests[i], prepared[i], &traces[i]);  // fail response
-      continue;
-    }
-    std::vector<size_t>& candidates = groups_by_key[prepared[i].key];
-    bool joined = false;
-    for (size_t group_index : candidates) {
-      const Prepared& rep = prepared[groups[group_index][0]];
-      if (rep.canonical.options == prepared[i].canonical.options) {
-        groups[group_index].push_back(i);
-        joined = true;
-        break;
-      }
-    }
-    if (!joined) {
-      groups.push_back({i});
-      candidates.push_back(groups.size() - 1);
-    }
-  }
-
-  // Phase 3: one mine per group; the rest of the group fans out from
-  // the result cache (deterministically kCache, for any thread count —
-  // the cut in worst-case latency when a batch is hit-heavy). Prep
-  // dropped every dataset handle, so resident datasets stay governed by
-  // the registry budget even while a batch over many datasets is in
-  // flight; the representatives re-resolve on mine (see RunMine).
-  pool_.ParallelFor(static_cast<int64_t>(groups.size()), [&](int64_t g) {
-    const std::vector<size_t>& group = groups[static_cast<size_t>(g)];
-    const size_t rep = group[0];
-    responses[rep] = Execute(requests[rep], prepared[rep], &traces[rep]);
-    for (size_t j = 1; j < group.size(); ++j) {
-      const size_t i = group[j];
-      const Prepared& prep = prepared[i];
-      Stopwatch stopwatch;
-      // Identity fields come from the member's own resolution (a group
-      // can mix a sharded manifest with its unsharded equivalent, so
-      // the representative's fields need not apply).
-      MiningResponse& response = responses[i];
-      response.dataset_registry_hit = prep.registry_hit;
-      response.dataset_fingerprint = prep.fingerprint;
-      response.options_hash = prep.canonical.options_hash;
-      if (prep.sharded) {
-        response.shards = static_cast<int>(prep.manifest->shards.size());
-      }
-      if (!responses[rep].status.ok()) {
-        // A group can mix a manifest request with its unsharded
-        // equivalent; a failure tied to the representative's data
-        // source (a broken shard file, say) is not deterministic for a
-        // member reading a different source, so only true duplicates
-        // inherit the failure — others run their own full path.
-        if (requests[i].dataset_path == requests[rep].dataset_path &&
-            prep.sharded == prepared[rep].sharded) {
-          response.status = responses[rep].status;
-          response.source = ResponseSource::kFailed;
-        } else {
-          responses[i] = Execute(requests[i], prepared[i], &traces[i]);
-        }
-      } else {
-        PhaseTimer cache_timer(&traces[i], TracePhase::kCacheLookup);
-        std::shared_ptr<const ColossalMiningResult> cached =
-            cache_.Get(prep.key, prep.canonical.options);
-        cache_timer.Stop();
-        if (cached != nullptr) {
-          response.status = Status::Ok();
-          response.result = std::move(cached);
-          response.source = ResponseSource::kCache;
-        } else {
-          // Cache disabled (or the entry already evicted): share the
-          // representative's in-batch mine rather than repeating it.
-          response.status = Status::Ok();
-          response.result = responses[rep].result;
-          response.source = ResponseSource::kCoalesced;
-        }
-      }
-      response.seconds = stopwatch.ElapsedSeconds();
-    }
-  });
-
-  // Batch requests fly recorded too (transport "batch"): payload bytes
-  // are whatever the caller renders, so 0 here, and per-request start
-  // is reconstructed from the shared completion instant.
-  const int64_t end_unix_nanos =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count();
-  for (size_t i = 0; i < n; ++i) {
-    responses[i].seconds += prep_seconds[i];
-    FlushTrace(traces[i]);
-    NoteResponse(responses[i]);
-    const int64_t total_nanos =
-        static_cast<int64_t>(responses[i].seconds * 1e9);
-    RecordFlight(BuildFlightRecord(recorder_.MintId(),
-                                   end_unix_nanos - total_nanos, "batch",
-                                   &requests[i], responses[i], traces[i],
-                                   /*response_bytes=*/0, total_nanos));
-  }
-  return responses;
 }
 
 }  // namespace colossal

@@ -7,12 +7,9 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
-#include <string_view>
 #include <unordered_map>
-#include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -25,14 +22,11 @@
 namespace colossal {
 
 struct MiningServiceOptions {
-  // Worker threads the batch API fans requests across. 0 = auto.
-  int num_threads = 0;
-
   // Default intra-request mining threads when a request leaves
-  // options.num_threads at 0. The service default is 1 so that batch
-  // throughput comes from request-level parallelism instead of
-  // oversubscribing every job; single synchronous callers can set a
-  // request-level --threads. Output is identical either way.
+  // options.num_threads at 0. The service default is 1 so that
+  // throughput comes from request-level parallelism (the front end's
+  // batch or handler pool) instead of oversubscribing every job; a
+  // request can set its own --threads. Output is identical either way.
   int mining_threads = 1;
 
   // Default phase-1 shard fan-out when a sharded request leaves
@@ -99,24 +93,11 @@ struct MiningResponse {
   double seconds = 0.0;
 };
 
-// Assembles the flight record for one finished request from what each
-// layer knows: identity from the request/response, the phase breakdown
-// and per-request observables from the trace, and the transport/bytes/
-// wall time the calling front end measured. `request` may be null (a
-// line that failed to parse has no dataset identity). Shared by the
-// dispatch layer and MineBatch so every transport records the same
-// shape.
-FlightRecord BuildFlightRecord(uint64_t id, int64_t start_unix_nanos,
-                               std::string_view transport,
-                               const MineRequest* request,
-                               const MiningResponse& response,
-                               const RequestTrace& trace,
-                               int64_t response_bytes, int64_t total_nanos);
-
 // The mining front door: resolves datasets through a DatasetRegistry,
 // collapses equivalent requests onto one ResultCache entry, deduplicates
 // identical in-flight requests (the second caller waits for the first
-// instead of mining twice), and fans batches across a ThreadPool.
+// instead of mining twice). Concurrency comes from the callers: every
+// front end (service/dispatch.h) runs requests on its own threads.
 //
 // Sharded datasets are first-class: a request whose dataset is a shard
 // manifest (sniffed, or --format manifest) routes through ShardedMiner,
@@ -150,15 +131,6 @@ class MiningService {
   MiningResponse Mine(const MineRequest& request);
   MiningResponse Mine(const MineRequest& request, RequestTrace* trace);
 
-  // Serves a batch, scheduling requests across the service pool.
-  // Responses are positionally aligned with `requests`. The batch is
-  // dedup-aware: requests are grouped by canonical cache key, each key
-  // is mined once (by its first request), and the rest of the group is
-  // fanned out from the result cache — so a hit-heavy batch pays one
-  // mine per distinct key regardless of replay order or thread count.
-  std::vector<MiningResponse> MineBatch(
-      const std::vector<MineRequest>& requests);
-
   // The registry all serving metrics live in (the service's own plus
   // the dataset registry's and result cache's, unless their sub-options
   // pointed elsewhere): what the `metrics` control word renders, and
@@ -171,8 +143,7 @@ class MiningService {
   std::string RenderMetrics();
 
   // Per-request flight recorder: the dispatch layer mints request ids
-  // from it and lands one FlightRecord per completed request (MineBatch
-  // records its own, so `colossal_serve batch` flies recorded too).
+  // from it and lands one FlightRecord per completed request.
   FlightRecorder& flight_recorder() { return recorder_; }
   const FlightRecorder& flight_recorder() const { return recorder_; }
 
@@ -206,8 +177,8 @@ class MiningService {
   };
 
   // A request resolved to its cache identity but not yet mined: the
-  // dataset (or manifest), the canonical options, and the cache key.
-  // This is the unit MineBatch groups by.
+  // dataset (or manifest) it holds until the mine, the canonical
+  // options, and the cache key.
   struct Prepared {
     Status status;  // dataset resolution / canonicalization failure
     bool sharded = false;
@@ -226,14 +197,8 @@ class MiningService {
   };
 
   // Resolves the request's dataset through the registry (manifests
-  // included) and canonicalizes its options into the cache key. With
-  // `keep_dataset` false the dataset handle is dropped again once the
-  // key is computed — MineBatch prepares every request up front, and
-  // holding all their handles across the batch would defeat the
-  // registry's memory budget; Execute re-resolves through the registry
-  // (a hit in the common case) when it actually mines.
-  Prepared Prepare(const MineRequest& request, bool keep_dataset,
-                   RequestTrace* trace);
+  // included) and canonicalizes its options into the cache key.
+  Prepared Prepare(const MineRequest& request, RequestTrace* trace);
 
   // Serves a prepared request: result cache, in-flight dedup, then the
   // actual mine (sharded or not). Sets everything but leaves
@@ -268,8 +233,8 @@ class MiningService {
                                                  RequestTrace* trace);
 
   // Bumps the per-source response counters + the end-to-end latency
-  // histogram for one finished response; every response (Mine and each
-  // MineBatch member) passes through exactly once.
+  // histogram for one finished response; every Mine passes through
+  // exactly once.
   void NoteResponse(const MiningResponse& response);
 
   // Flushes a finished request's nonzero phase accumulators into the
@@ -317,7 +282,6 @@ class MiningService {
 
   DatasetRegistry registry_;
   ResultCache cache_;
-  ThreadPool pool_;
 
   std::mutex inflight_mutex_;
   std::unordered_map<ResultCacheKey, std::shared_ptr<Inflight>,

@@ -113,7 +113,7 @@ StatusOr<ShardWriteResult> WriteShardedSnapshots(
         TransactionDatabase::FromItemsets(std::move(slice));
     if (!shard_db.ok()) return shard_db.status();
 
-    char suffix[32];
+    char suffix[48];
     std::snprintf(suffix, sizeof(suffix), ".shard_%04zu.snap", i);
     const std::string file = name + suffix;
     const std::string shard_path = dir + "/" + file;

@@ -257,15 +257,16 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
 
   // Phase 1 — per-shard mining, fanned out across a bounded pool of
   // shard jobs. ResolveFanOut caps concurrency so the concurrently
-  // resident shards always fit the registry budget (at fan-out 1 this
-  // is exactly the old sequential walk: at most one shard resident
-  // beyond the registry's choices). Each job's pool lands in its
-  // shard's slot and is merged in manifest order, so the candidate list
-  // — and everything downstream — is byte-identical to the sequential
-  // walk regardless of completion order. Per-shard miners derive any
-  // randomness from the options alone (each MineColossal call seeds its
-  // own RNG stream from options.seed), never from scheduling, which
-  // keeps fuse mode identical across thread counts and parallelism too.
+  // resident shards always fit the registry budget (at fan-out 1 the
+  // shards load, mine and merge one at a time on the calling thread: at
+  // most one shard resident beyond the registry's choices). Each job's
+  // pool lands in its shard's slot and is merged in manifest order, so
+  // the candidate list — and everything downstream — is byte-identical
+  // at every fan-out regardless of completion order. Per-shard miners
+  // derive any randomness from the options alone (each MineColossal call
+  // seeds its own RNG stream from options.seed), never from scheduling,
+  // which keeps fuse mode identical across thread counts and parallelism
+  // too.
   // The phase-1 wall clock (kPoolMine) covers estimation, the fan-out
   // and the sorted merge of the shard pools; loader-side
   // registry/admission time is attributed to kRegistry by the loader
@@ -445,19 +446,20 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
       ++merged_shards;
     }
   };
-  if (fan_out > 1 && num_shards > 1) {
-    // A dedicated pool sized to the admitted width: each driver holds
-    // at most one shard resident at a time, so concurrent residency is
-    // bounded by fan_out even before the loader's own admission
-    // control. Fail-fast with the sequential walk's contract: once
-    // shard f has failed, shards *above* f are skipped — exactly the
-    // shards a sequential walk would never have reached — while shards
-    // below f still mine, so the reported failure is the true
-    // lowest-index one, not a scheduling accident.
-    std::atomic<int64_t> first_failure{
-        std::numeric_limits<int64_t>::max()};
-    ThreadPool shard_pool(fan_out);
-    shard_pool.ParallelFor(static_cast<int64_t>(num_shards), [&](int64_t i) {
+  {
+    // A dedicated pool sized to the admitted width, alive for phase 1
+    // only (none at fan-out 1, where the loop runs on this thread): each
+    // worker holds at most one shard resident at a time, so concurrent
+    // residency is bounded by fan_out even before the loader's own
+    // admission control. Fail-fast: once shard f has failed, shards
+    // *above* f are skipped, never loaded, while shards below f still
+    // mine — so the reported failure is the true lowest-index one, not a
+    // scheduling accident.
+    std::atomic<int64_t> first_failure{std::numeric_limits<int64_t>::max()};
+    std::optional<ThreadPool> shard_pool;
+    if (fan_out > 1) shard_pool.emplace(fan_out);
+    ParallelFor(shard_pool ? &*shard_pool : nullptr,
+                static_cast<int64_t>(num_shards), [&](int64_t i) {
       if (i > first_failure.load(std::memory_order_acquire)) {
         // Never read: the merge stops at the lower failing index.
         finish_shard(static_cast<size_t>(i),
@@ -474,12 +476,6 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
       }
       finish_shard(static_cast<size_t>(i), std::move(mined));
     });
-  } else {
-    // Sequential walk: mine and merge one shard at a time, and stop at
-    // the first failure.
-    for (size_t i = 0; i < num_shards && merged_shards == i; ++i) {
-      finish_shard(i, mine_shard(i));
-    }
   }
   if (merged_shards < num_shards) return slots[merged_shards]->status();
   pool_timer.Stop();

@@ -17,7 +17,8 @@ namespace colossal {
 // the test here instead.
 inline int64_t Scrape(const MetricsRegistry& metrics,
                       const std::string& name) {
-  const std::string text = "\n" + metrics.RenderText();
+  std::string text = "\n";
+  text += metrics.RenderText();
   const size_t at = text.find("\n" + name + " ");
   if (at == std::string::npos) {
     ADD_FAILURE() << "no metric named " << name << " in the exposition";

@@ -344,81 +344,6 @@ TEST_F(MiningServiceTest, SamePathIsLoadedOnceAndSnapshotSharesEntries) {
   EXPECT_EQ(third.source, ResponseSource::kCache);
 }
 
-TEST_F(MiningServiceTest, BatchAlignsResponsesAndDeduplicates) {
-  MiningServiceOptions options;
-  options.num_threads = 1;  // deterministic replay order
-  MiningService service(options);
-
-  MineRequest request = BasicRequest();
-  MineRequest different = BasicRequest();
-  different.options.k = 10;
-  std::vector<MineRequest> batch = {request, different, request, request};
-  std::vector<MiningResponse> responses = service.MineBatch(batch);
-  ASSERT_EQ(responses.size(), 4u);
-  for (const MiningResponse& response : responses) {
-    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-  }
-  EXPECT_EQ(responses[0].source, ResponseSource::kMined);
-  EXPECT_EQ(responses[1].source, ResponseSource::kMined);
-  EXPECT_EQ(responses[2].source, ResponseSource::kCache);
-  EXPECT_EQ(responses[3].source, ResponseSource::kCache);
-  EXPECT_EQ(responses[0].result.get(), responses[2].result.get());
-  EXPECT_EQ(responses[0].result.get(), responses[3].result.get());
-  EXPECT_NE(responses[0].options_hash, responses[1].options_hash);
-}
-
-TEST_F(MiningServiceTest, BatchDedupIsThreadCountInvariant) {
-  // The dedup-aware batch scheduler groups requests by canonical cache
-  // key and mines each key once, so duplicate-heavy batches produce the
-  // same sources under heavy parallelism as under --threads 1: one
-  // kMined per distinct key, kCache for the rest — never a coalesced
-  // wait.
-  MiningServiceOptions options;
-  options.num_threads = 8;
-  MiningService service(options);
-
-  MineRequest request = BasicRequest();
-  MineRequest sigma_equivalent = BasicRequest();
-  sigma_equivalent.options.sigma =
-      8.0 / static_cast<double>(db_->num_transactions());
-  MineRequest different = BasicRequest();
-  different.options.k = 10;
-  std::vector<MineRequest> batch = {request, different, sigma_equivalent,
-                                      request, request, different};
-  std::vector<MiningResponse> responses = service.MineBatch(batch);
-  ASSERT_EQ(responses.size(), 6u);
-  for (const MiningResponse& response : responses) {
-    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-  }
-  EXPECT_EQ(responses[0].source, ResponseSource::kMined);
-  EXPECT_EQ(responses[1].source, ResponseSource::kMined);
-  EXPECT_EQ(responses[2].source, ResponseSource::kCache);  // sigma ≡ absolute
-  EXPECT_EQ(responses[3].source, ResponseSource::kCache);
-  EXPECT_EQ(responses[4].source, ResponseSource::kCache);
-  EXPECT_EQ(responses[5].source, ResponseSource::kCache);
-  EXPECT_EQ(responses[0].result.get(), responses[3].result.get());
-  EXPECT_EQ(responses[0].result.get(), responses[2].result.get());
-  EXPECT_EQ(responses[1].result.get(), responses[5].result.get());
-  // Two groups → two mines, four fan-outs served as cache hits.
-  EXPECT_EQ(Scrape(service.metrics(), "colossal_result_cache_misses_total"),
-            2);
-  EXPECT_EQ(Scrape(service.metrics(), "colossal_result_cache_hits_total"), 4);
-}
-
-TEST_F(MiningServiceTest, FailuresArePerRequest) {
-  MiningService service;
-  MineRequest good = BasicRequest();
-  MineRequest bad = BasicRequest();
-  bad.dataset_path = ::testing::TempDir() + "/does_not_exist.fimi";
-
-  std::vector<MiningResponse> responses = service.MineBatch({bad, good});
-  ASSERT_EQ(responses.size(), 2u);
-  EXPECT_FALSE(responses[0].status.ok());
-  EXPECT_EQ(responses[0].source, ResponseSource::kFailed);
-  EXPECT_EQ(responses[0].result, nullptr);
-  EXPECT_TRUE(responses[1].status.ok());
-}
-
 TEST_F(MiningServiceTest, DisabledCacheMinesEveryTime) {
   MiningServiceOptions options;
   options.cache.max_entries = 0;
@@ -426,28 +351,6 @@ TEST_F(MiningServiceTest, DisabledCacheMinesEveryTime) {
   const MineRequest request = BasicRequest();
   EXPECT_EQ(service.Mine(request).source, ResponseSource::kMined);
   EXPECT_EQ(service.Mine(request).source, ResponseSource::kMined);
-}
-
-TEST_F(MiningServiceTest, BatchDuplicatesCoalesceWhenCacheIsDisabled) {
-  // With no result cache to fan out from, duplicates still share the
-  // representative's one in-batch mine instead of each re-mining.
-  MiningServiceOptions options;
-  options.cache.max_entries = 0;
-  options.num_threads = 4;
-  MiningService service(options);
-  const MineRequest request = BasicRequest();
-  std::vector<MiningResponse> responses =
-      service.MineBatch({request, request, request});
-  ASSERT_EQ(responses.size(), 3u);
-  for (const MiningResponse& response : responses) {
-    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-    ASSERT_NE(response.result, nullptr);
-  }
-  EXPECT_EQ(responses[0].source, ResponseSource::kMined);
-  EXPECT_EQ(responses[1].source, ResponseSource::kCoalesced);
-  EXPECT_EQ(responses[2].source, ResponseSource::kCoalesced);
-  EXPECT_EQ(responses[0].result.get(), responses[1].result.get());
-  EXPECT_EQ(responses[0].result.get(), responses[2].result.get());
 }
 
 TEST_F(MiningServiceTest, ConcurrentIdenticalRequestsMineOnce) {

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,18 +27,23 @@ class ServeDispatchTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     path_ = new std::string(::testing::TempDir() + "/dispatch_test.fimi");
-    ASSERT_TRUE(WriteFimiFile(MakeDiagPlus(16, 8).db, *path_).ok());
+    const TransactionDatabase db = MakeDiagPlus(16, 8).db;
+    rows_ = db.num_transactions();
+    ASSERT_TRUE(WriteFimiFile(db, *path_).ok());
   }
 
-  static std::string RequestLine() {
-    return "--in " + *path_ + " --min-support 8 --k 20 --pool-size 2";
+  static std::string RequestLine(int k = 20) {
+    return "--in " + *path_ + " --min-support 8 --k " + std::to_string(k) +
+           " --pool-size 2";
   }
 
   static std::string* path_;
+  static int64_t rows_;
   MiningService service_;
 };
 
 std::string* ServeDispatchTest::path_ = nullptr;
+int64_t ServeDispatchTest::rows_ = 0;
 
 TEST_F(ServeDispatchTest, ClassifiesControlLines) {
   EXPECT_EQ(DispatchServeLine(service_, "").kind, ServeOutcome::Kind::kEmpty);
@@ -366,7 +372,7 @@ TEST_F(ServeDispatchTest, RecentControlWordListsFlightRecords) {
   EXPECT_TRUE(DispatchServeLine(service_, "recent " +
                                               std::to_string(capacity))
                   .debug_status.ok());
-  for (const std::string hostile :
+  for (const std::string& hostile :
        {std::to_string(capacity + 1), std::string("999999999"),
         std::string("18446744073709551615")}) {
     ServeOutcome over = DispatchServeLine(service_, "recent " + hostile);
@@ -719,6 +725,157 @@ TEST_F(ServeDispatchTest, HttpErrorsMapToStatusCodes) {
                         true)
           .status,
       400);
+}
+
+// --- Batch replay ------------------------------------------------------------
+
+TEST_F(ServeDispatchTest, BatchAlignsResponsesAndDeduplicates) {
+  const std::vector<ServeOutcome> outcomes = DispatchBatch(
+      service_, {RequestLine(), RequestLine(10), RequestLine(), RequestLine()},
+      /*threads=*/1);
+  ASSERT_EQ(outcomes.size(), 4u);
+  for (const ServeOutcome& outcome : outcomes) {
+    ASSERT_EQ(outcome.kind, ServeOutcome::Kind::kResponse);
+    ASSERT_TRUE(outcome.response.status.ok())
+        << outcome.response.status.ToString();
+  }
+  EXPECT_EQ(outcomes[0].response.source, ResponseSource::kMined);
+  EXPECT_EQ(outcomes[1].response.source, ResponseSource::kMined);
+  EXPECT_EQ(outcomes[2].response.source, ResponseSource::kCache);
+  EXPECT_EQ(outcomes[3].response.source, ResponseSource::kCache);
+  EXPECT_EQ(outcomes[0].response.result.get(),
+            outcomes[2].response.result.get());
+  EXPECT_EQ(outcomes[0].response.result.get(),
+            outcomes[3].response.result.get());
+  EXPECT_NE(outcomes[0].response.options_hash,
+            outcomes[1].response.options_hash);
+}
+
+TEST_F(ServeDispatchTest, BatchDedupIsThreadCountInvariant) {
+  // However 8 workers interleave, each distinct cache key mines once:
+  // the other lines of its group are served from the cache or by
+  // waiting on the identical mine in flight, and share its result.
+  char sigma[32];
+  std::snprintf(sigma, sizeof(sigma), "%.17g",
+                8.0 / static_cast<double>(rows_));
+  const std::string sigma_equivalent =
+      "--in " + *path_ + " --sigma " + sigma + " --k 20 --pool-size 2";
+  const std::vector<ServeOutcome> outcomes =
+      DispatchBatch(service_,
+                    {RequestLine(), RequestLine(10), sigma_equivalent,
+                     RequestLine(), RequestLine(), RequestLine(10)},
+                    /*threads=*/8);
+  ASSERT_EQ(outcomes.size(), 6u);
+  for (const ServeOutcome& outcome : outcomes) {
+    ASSERT_TRUE(outcome.response.status.ok())
+        << outcome.response.status.ToString();
+  }
+  EXPECT_EQ(Scrape(service_.metrics(), "colossal_responses_mined_total"), 2);
+  for (const std::vector<size_t>& group :
+       {std::vector<size_t>{0, 2, 3, 4}, std::vector<size_t>{1, 5}}) {
+    int mined = 0;
+    for (size_t i : group) {
+      const MiningResponse& response = outcomes[i].response;
+      EXPECT_EQ(response.result.get(),
+                outcomes[group[0]].response.result.get())
+          << i;
+      if (response.source == ResponseSource::kMined) {
+        ++mined;
+      } else {
+        EXPECT_TRUE(response.source == ResponseSource::kCache ||
+                    response.source == ResponseSource::kCoalesced)
+            << i << ": " << ResponseSourceName(response.source);
+      }
+    }
+    EXPECT_EQ(mined, 1);
+  }
+}
+
+TEST_F(ServeDispatchTest, FailuresArePerRequest) {
+  const std::string bad = "--in " + ::testing::TempDir() +
+                          "/does_not_exist.fimi --min-support 8 --k 20";
+  const std::vector<ServeOutcome> outcomes =
+      DispatchBatch(service_, {bad, RequestLine()}, /*threads=*/1);
+  ASSERT_EQ(outcomes.size(), 2u);
+  EXPECT_FALSE(outcomes[0].response.status.ok());
+  EXPECT_EQ(outcomes[0].response.source, ResponseSource::kFailed);
+  EXPECT_EQ(outcomes[0].response.result, nullptr);
+  EXPECT_TRUE(outcomes[1].response.status.ok());
+}
+
+TEST_F(ServeDispatchTest, BatchFlightRecordsCarryIdsAndPayloadBytes) {
+  const std::string missing =
+      "--in " + ::testing::TempDir() + "/no_such_file.fimi --min-support 8";
+  const std::vector<ServeOutcome> outcomes = DispatchBatch(
+      service_, {RequestLine(), RequestLine(), missing}, /*threads=*/1);
+  ASSERT_EQ(outcomes.size(), 3u);
+  ASSERT_TRUE(outcomes[0].response.status.ok());
+  ASSERT_FALSE(outcomes[2].response.status.ok());
+  for (const ServeOutcome& outcome : outcomes) {
+    ASSERT_NE(outcome.request_id, 0u);
+    FlightRecord record;
+    ASSERT_TRUE(service_.flight_recorder().Find(outcome.request_id, &record));
+    EXPECT_STREQ(record.transport, "batch");
+    EXPECT_STREQ(record.source, ResponseSourceName(outcome.response.source));
+    const size_t payload_bytes =
+        outcome.response.status.ok()
+            ? outcome.patterns_payload.size()
+            : outcome.response.status.message().size() + 1;
+    EXPECT_EQ(record.response_bytes, static_cast<int64_t>(payload_bytes));
+    if (outcome.response.status.ok()) {
+      EXPECT_GT(payload_bytes, 0u);
+      EXPECT_GT(
+          record.phase_nanos[static_cast<int>(TracePhase::kSerialize)], 0);
+    }
+  }
+  EXPECT_LT(outcomes[0].request_id, outcomes[1].request_id);
+  EXPECT_LT(outcomes[1].request_id, outcomes[2].request_id);
+}
+
+// --- Error payload cap -------------------------------------------------------
+
+TEST_F(ServeDispatchTest, ErrorMessagesAreCappedOnEveryTransport) {
+  // Each line makes an error message that quotes ~1 MiB of request
+  // text: junk where a flag belongs, and a huge --k value.
+  const std::string junk(size_t{1} << 20, 'x');
+  const std::string long_k = "--in " + *path_ +
+                             " --min-support 8 --pool-size 2 --k " +
+                             std::string(1000000, '9');
+  for (const std::string& line : {junk, long_k}) {
+    const ServeOutcome outcome = DispatchServeLine(service_, line, "tcp");
+    ASSERT_EQ(outcome.response.status.code(), StatusCode::kInvalidArgument);
+    const std::string& message = outcome.response.status.message();
+    EXPECT_LE(message.size(), 1024u + 64u);
+    EXPECT_NE(message.find("... (truncated from "), std::string::npos)
+        << message.substr(0, 80);
+
+    // TCP: the counted payload is the capped message, and the flight
+    // record counts exactly those bytes.
+    const ServerReply tcp = FrameTcpReply(outcome, /*send_patterns=*/true);
+    const size_t newline = tcp.data.find('\n');
+    ASSERT_NE(newline, std::string::npos);
+    EXPECT_EQ(tcp.data.substr(newline + 1), message + "\n");
+    const size_t bytes_pos = tcp.data.rfind(" bytes=", newline);
+    ASSERT_NE(bytes_pos, std::string::npos);
+    EXPECT_EQ(std::stoull(tcp.data.substr(bytes_pos + 7)),
+              message.size() + 1);
+    FlightRecord record;
+    ASSERT_TRUE(service_.flight_recorder().Find(outcome.request_id, &record));
+    EXPECT_EQ(record.response_bytes,
+              static_cast<int64_t>(message.size()) + 1);
+
+    // HTTP: the same capped message as the 400 body.
+    const HttpResponse http = HandleHttpRequest(
+        service_, MakeHttpRequest("POST", "/mine", line), true);
+    EXPECT_EQ(http.status, 400);
+    EXPECT_EQ(http.body, message + "\n");
+  }
+  // The junk line's message names its original length.
+  EXPECT_NE(DispatchServeLine(service_, junk)
+                .response.status.message()
+                .find("(truncated from " +
+                      std::to_string(junk.size() + 23) + " bytes)"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -387,23 +387,42 @@ TEST_F(ShardedMinerTest, FuseModeIsInvariantAcrossFanOutAndThreads) {
 }
 
 TEST_F(ShardedMinerTest, FanOutFailuresReportTheLowestFailingShard) {
-  // Parallel completion order must not leak into which Status the merge
-  // returns: corrupt two shards, and the lowest-index one is reported,
-  // exactly as the sequential walk would.
+  // Completion order must not leak into which Status the merge returns:
+  // corrupt two shards, and the lowest-index one is reported at any
+  // fan-out. At fan-out 1 the loop runs in manifest order and stops
+  // loading at the failure, so no shard above it is ever loaded.
   StatusOr<ShardManifest> manifest =
       ReadShardManifestFile((*manifest_paths_)[2]);  // 7 shards
   ASSERT_TRUE(manifest.ok());
   manifest->shards[2].fingerprint ^= 1;
   manifest->shards[5].fingerprint ^= 1;
-  ShardedMiner miner(*manifest, DiskLoader());
-  ColossalMinerOptions options = BaseOptions();
-  options.shard_parallelism = 4;
-  StatusOr<ColossalMiningResult> result =
-      miner.Mine(options, ShardMergeMode::kExact);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(result.status().message().find("shard 2"), std::string::npos)
-      << result.status().ToString();
+  for (int parallelism : {1, 4}) {
+    // Only the fan-out-1 loader records paths: it is called from one
+    // thread.
+    auto loaded = std::make_shared<std::set<std::string>>();
+    const ShardLoader disk = DiskLoader();
+    ShardLoader tracking = [loaded, disk](const std::string& path,
+                                          int64_t estimated_bytes) {
+      loaded->insert(path);
+      return disk(path, estimated_bytes);
+    };
+    ShardedMiner miner(*manifest, parallelism == 1 ? tracking : disk);
+    ColossalMinerOptions options = BaseOptions();
+    options.shard_parallelism = parallelism;
+    StatusOr<ColossalMiningResult> result =
+        miner.Mine(options, ShardMergeMode::kExact);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(result.status().message().find("shard 2"), std::string::npos)
+        << "parallelism=" << parallelism << ": "
+        << result.status().ToString();
+    if (parallelism == 1) {
+      for (size_t i = 3; i < manifest->shards.size(); ++i) {
+        EXPECT_EQ(loaded->count(manifest->shards[i].path), 0u)
+            << "shard " << i << " loaded after shard 2 failed";
+      }
+    }
+  }
 }
 
 TEST_F(ShardedMinerTest, AutoFanOutWithoutABudgetStaysSequential) {
@@ -911,28 +930,34 @@ TEST_F(ShardedMinerTest, FailingMineWakesAllCoalescedWaiters) {
 }
 
 TEST_F(ShardedMinerTest, BatchGroupsShardedAndUnshardedEquivalents) {
-  MiningServiceOptions options;
-  options.num_threads = 8;  // grouping must be deterministic regardless
-  MiningService service(options);
-
-  MineRequest unsharded;
-  unsharded.dataset_path = *parent_path_;
-  unsharded.options = BaseOptions();
-  std::vector<MineRequest> batch = {ManifestRequest(1), unsharded,
-                                      ManifestRequest(1)};
-  std::vector<MiningResponse> responses = service.MineBatch(batch);
-  ASSERT_EQ(responses.size(), 3u);
-  for (const MiningResponse& response : responses) {
+  // An exact sharded request and its unsharded equivalent share one
+  // cache key, so however 8 batch workers interleave, the three lines
+  // mine once and share that one result.
+  MiningService service;
+  const std::string options = " --min-support 8 --k 20 --pool-size 2";
+  const std::string sharded = "--in " + (*manifest_paths_)[1] + options;
+  const std::string unsharded = "--in " + *parent_path_ + options;
+  const std::vector<ServeOutcome> outcomes =
+      DispatchBatch(service, {sharded, unsharded, sharded}, /*threads=*/8);
+  ASSERT_EQ(outcomes.size(), 3u);
+  int mined = 0;
+  for (const ServeOutcome& outcome : outcomes) {
+    const MiningResponse& response = outcome.response;
     ASSERT_TRUE(response.status.ok()) << response.status.ToString();
     ASSERT_NE(response.result, nullptr);
+    EXPECT_EQ(response.result.get(), outcomes[0].response.result.get());
+    if (response.source == ResponseSource::kMined) {
+      ++mined;
+    } else {
+      EXPECT_TRUE(response.source == ResponseSource::kCache ||
+                  response.source == ResponseSource::kCoalesced)
+          << ResponseSourceName(response.source);
+    }
   }
-  // One group: the sharded representative mines, the equivalents fan
-  // out from the cache.
-  EXPECT_EQ(responses[0].source, ResponseSource::kMined);
-  EXPECT_EQ(responses[1].source, ResponseSource::kCache);
-  EXPECT_EQ(responses[2].source, ResponseSource::kCache);
-  EXPECT_EQ(responses[0].result.get(), responses[1].result.get());
-  EXPECT_EQ(responses[0].result.get(), responses[2].result.get());
+  EXPECT_EQ(mined, 1);
+  EXPECT_EQ(Scrape(service.metrics(), "colossal_responses_mined_total"), 1);
+  EXPECT_EQ(outcomes[0].response.shards, 2);
+  EXPECT_EQ(outcomes[1].response.shards, 0);
 }
 
 TEST_F(ShardedMinerTest, DispatchRoutesShardedRequestLines) {

@@ -180,18 +180,6 @@ StatusOr<HttpReply> ReadHttpReply(SocketReader& reader) {
   return reply;
 }
 
-// Writes the payload of request `index` (0-based) as
-// DIR/response_<index + 1>.txt, zero-padded like batch mode's files.
-Status WriteResponseFile(const std::string& dir, size_t index,
-                         const std::string& payload) {
-  char name[48];
-  std::snprintf(name, sizeof(name), "/response_%04zu.txt", index + 1);
-  std::ofstream file(dir + name, std::ios::binary);
-  file.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  if (!file) return Status::Internal("cannot write " + dir + name);
-  return Status::Ok();
-}
-
 // One connection's replay loop: warmup passes untimed, then wait on the
 // start latch, then timed passes. A non-empty `out_dir` receives the
 // first timed pass's payloads.

@@ -6,12 +6,16 @@
 //           [--mining-threads N] [--shard-parallelism N]
 //           [--cache-entries N] [--registry-mb N] [--csv]
 //       Replays a file of request lines (one request per line, '#'
-//       comments and blank lines ignored), fans them across the service
-//       pool, and prints a per-request table (timing, cache source) plus
-//       a summary. With --out-dir, request i's patterns are written to
-//       DIR/response_<i>.txt in FIMI output format. --threads 1 makes
-//       replay order deterministic (duplicates hit the result cache
-//       instead of coalescing). Exits nonzero if any request failed.
+//       comments and blank lines ignored). Every line must parse first
+//       (else FILE:LINE: and exit 1); then the lines are served through
+//       the dispatch path every front end uses, on --threads workers,
+//       and a per-request table (timing, cache source) plus a summary is
+//       printed. With --out-dir, request i's payload (the FIMI patterns
+//       a TCP reply carries) is written to DIR/response_<i>.txt.
+//       Duplicates dedup as on a socket: at --threads 1 a repeat is a
+//       cache hit; with more workers it may instead wait on the
+//       identical mine still running (coalesced). Exits nonzero if any
+//       request failed.
 //   daemon  [--mining-threads N] [--shard-parallelism N]
 //           [--cache-entries N] [--registry-mb N] [--no-patterns]
 //       One session on stdin/stdout that behaves like one TCP connection
@@ -94,8 +98,6 @@
 #include "common/args.h"
 #include "common/bitvector_kernels.h"
 #include "common/table_printer.h"
-#include "core/pattern.h"
-#include "mining/result_io.h"
 #include "net/http_server.h"
 #include "net/tcp_server.h"
 #include "obs/metrics.h"
@@ -123,6 +125,9 @@ constexpr const char kUsage[] =
     "           [--max-connections N] [--max-line-kb N] [--no-patterns]\n"
     "           [--http-port N] [--http-pipeline N]\n"
     "           [--max-inflight-mines N] [--max-inflight-mine-kb N]\n"
+    "--threads N sizes batch's workers and listen's TCP/HTTP handler\n"
+    "    pools (0 = one per core); --mining-threads N is the mining threads\n"
+    "    of a request that sets no --threads of its own (default 1)\n"
     "all subcommands also take --slow-request-ms T (log requests slower\n"
     "    than T ms as JSON lines; 0 logs every request, default off) and\n"
     "    --slow-log-file PATH (append slow-request lines there instead\n"
@@ -142,8 +147,12 @@ constexpr const char kUsage[] =
     "    either way, this exists for byte-identity checks and benchmarks)\n"
     "see the header of tools/colossal_serve.cc for details\n";
 
-// Shared service knobs for both subcommands.
-StatusOr<MiningServiceOptions> ServiceOptionsFromArgs(const Args& args) {
+// Shared service knobs for every subcommand. `threads_out` (null for
+// the daemon, which takes no --threads) receives --threads, which sizes
+// the front end's own pool — batch workers, or the TCP/HTTP handler
+// threads — not the service.
+StatusOr<MiningServiceOptions> ServiceOptionsFromArgs(const Args& args,
+                                                      int* threads_out) {
   MiningServiceOptions options;
   StatusOr<int64_t> threads = args.GetInt("threads", 0);
   if (!threads.ok()) return threads.status();
@@ -173,7 +182,7 @@ StatusOr<MiningServiceOptions> ServiceOptionsFromArgs(const Args& args) {
         "], --cache-entries >= 0, --registry-mb >= 1, "
         "--max-inflight-mines/--max-inflight-mine-kb >= 0");
   }
-  options.num_threads = static_cast<int>(*threads);
+  if (threads_out != nullptr) *threads_out = static_cast<int>(*threads);
   options.mining_threads = static_cast<int>(*mining_threads);
   options.shard_parallelism = static_cast<int>(*shard_parallelism);
   options.cache.max_entries = *cache_entries;
@@ -199,41 +208,46 @@ int RunBatch(const Args& args) {
   const std::string out_dir = args.GetString("out-dir");
   const bool csv = args.Has("csv");
 
+  int threads = 0;
   StatusOr<MiningServiceOptions> service_options =
-      ServiceOptionsFromArgs(args);
+      ServiceOptionsFromArgs(args, &threads);
   if (!service_options.ok()) return Fail(service_options.status());
 
-  StatusOr<std::vector<RequestFileLine>> lines =
+  StatusOr<std::vector<RequestFileLine>> file =
       ReadRequestFile(requests_path);
-  if (!lines.ok()) return Fail(lines.status());
+  if (!file.ok()) return Fail(file.status());
 
-  std::vector<MineRequest> requests;
-  requests.reserve(lines->size());
-  for (const RequestFileLine& line : *lines) {
+  // Every line must parse before anything mines, so a typo anywhere in
+  // the file fails the run with its FILE:LINE: and no partial output.
+  std::vector<std::string> lines;
+  std::vector<std::string> datasets;
+  for (const RequestFileLine& line : *file) {
     StatusOr<MineRequest> request = ParseRequestLine(line.text);
     if (!request.ok()) {
       return Fail(Status::InvalidArgument(
           requests_path + ":" + std::to_string(line.line_number) + ": " +
           request.status().message()));
     }
-    requests.push_back(*std::move(request));
+    lines.push_back(line.text);
+    datasets.push_back(request->dataset_path);
   }
 
   MiningService service(*service_options);
-  std::vector<MiningResponse> responses = service.MineBatch(requests);
+  const std::vector<ServeOutcome> outcomes =
+      DispatchBatch(service, lines, threads);
 
   TablePrinter table({"request", "dataset", "source", "registry", "patterns",
                       "iterations", "ms"});
   int64_t failed = 0;
   int64_t cache_hits = 0;
   int64_t coalesced = 0;
-  for (size_t i = 0; i < responses.size(); ++i) {
-    const MiningResponse& response = responses[i];
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    const MiningResponse& response = outcomes[i].response;
     if (!response.status.ok()) ++failed;
     if (response.source == ResponseSource::kCache) ++cache_hits;
     if (response.source == ResponseSource::kCoalesced) ++coalesced;
     table.AddRow(
-        {std::to_string(i + 1), requests[i].dataset_path,
+        {std::to_string(i + 1), datasets[i],
          ResponseSourceName(response.source),
          response.status.ok() ? (response.dataset_registry_hit ? "hit"
                                                                : "load")
@@ -254,16 +268,13 @@ int RunBatch(const Args& args) {
   }
 
   if (!out_dir.empty()) {
-    for (size_t i = 0; i < responses.size(); ++i) {
-      if (!responses[i].result) continue;
-      char name[32];
-      std::snprintf(name, sizeof(name), "response_%04zu.txt", i + 1);
-      const std::string path = out_dir + "/" + name;
-      Status written = WritePatternsFile(
-          ToFrequentItemsets(responses[i].result->patterns), path);
+    for (size_t i = 0; i < outcomes.size(); ++i) {
+      if (!outcomes[i].response.status.ok()) continue;
+      Status written =
+          WriteResponseFile(out_dir, i, outcomes[i].patterns_payload);
       if (!written.ok()) return Fail(written);
     }
-    std::printf("wrote %zu response file(s) to %s\n", responses.size(),
+    std::printf("wrote %zu response file(s) to %s\n", outcomes.size(),
                 out_dir.c_str());
   }
 
@@ -271,7 +282,7 @@ int RunBatch(const Args& args) {
   std::printf(
       "batch: %zu request(s), cache_hits=%lld coalesced=%lld failed=%lld "
       "cache_entries=%lld dataset_loads=%lld dataset_hits=%lld\n",
-      responses.size(), static_cast<long long>(cache_hits),
+      outcomes.size(), static_cast<long long>(cache_hits),
       static_cast<long long>(coalesced), static_cast<long long>(failed),
       static_cast<long long>(
           metrics.GaugeValue("colossal_result_cache_entries")),
@@ -291,7 +302,7 @@ int RunDaemon(const Args& args) {
                                   "slow-log-file"});
   if (!known.ok()) return Fail(known);
   StatusOr<MiningServiceOptions> service_options =
-      ServiceOptionsFromArgs(args);
+      ServiceOptionsFromArgs(args, /*threads_out=*/nullptr);
   if (!service_options.ok()) return Fail(service_options.status());
   const bool send_patterns = !args.Has("no-patterns");
 
@@ -347,8 +358,9 @@ int RunListen(const Args& args) {
                                   "max-inflight-mine-kb", "slow-request-ms",
                                   "slow-log-file"});
   if (!known.ok()) return Fail(known);
+  int threads = 0;
   StatusOr<MiningServiceOptions> service_options =
-      ServiceOptionsFromArgs(args);
+      ServiceOptionsFromArgs(args, &threads);
   if (!service_options.ok()) return Fail(service_options.status());
   const bool send_patterns = !args.Has("no-patterns");
 
@@ -378,7 +390,7 @@ int RunListen(const Args& args) {
   server_options.port = static_cast<int>(*port);
   // The handler pool is the request-level fan-out, exactly like batch
   // --threads; mining threads per request come from the service.
-  server_options.num_threads = service_options->num_threads;
+  server_options.num_threads = threads;
   server_options.max_connections = static_cast<int>(*max_connections);
   server_options.max_line_bytes = *max_line_kb * 1024;
 
@@ -402,7 +414,7 @@ int RunListen(const Args& args) {
     HttpServerOptions http_options;
     http_options.host = server_options.host;
     http_options.port = static_cast<int>(*http_port);
-    http_options.num_threads = service_options->num_threads;
+    http_options.num_threads = threads;
     http_options.max_connections = static_cast<int>(*max_connections);
     http_options.max_pipeline = static_cast<int>(*http_pipeline);
     http_options.metrics = &service.metrics();
