@@ -18,7 +18,6 @@ StatusOr<ColossalMinerOptions> CanonicalizeMinerOptionsForSize(
   }
   canonical.num_threads = 0;
   canonical.shard_parallelism = 0;
-  canonical.pool_miner = PoolMiner::kApriori;
   Status constraints_ok = CanonicalizeConstraints(&canonical.constraints);
   if (!constraints_ok.ok()) return constraints_ok;
   if (canonical.top_k < 0) {
@@ -101,13 +100,12 @@ StatusOr<ColossalMiningResult> MineColossal(const TransactionDatabase& db,
       CanonicalizeMinerOptions(db, options);
   if (!canonical.ok()) return canonical.status();
 
-  // Execution knobs (pool miner, thread count) come from the caller:
-  // canonicalization resets them.
+  // The thread count comes from the caller: canonicalization resets it.
   PhaseTimer pool_timer(trace, TracePhase::kPoolMine);
   MinerStats pool_stats;
   StatusOr<std::vector<Pattern>> pool = BuildInitialPool(
       db, canonical->min_support_count, canonical->initial_pool_max_size,
-      options.pool_miner, options.num_threads, arena,
+      PoolMiner::kApriori, options.num_threads, arena,
       canonical->constraints, &pool_stats);
   pool_timer.Stop();
   if (!pool.ok()) return pool.status();

@@ -34,9 +34,7 @@ struct ColossalMinerOptions {
   // this size (paper uses 2 or 3 depending on the dataset).
   int initial_pool_max_size = 3;
 
-  // Which complete miner builds the pool. Identical output either way,
-  // so like num_threads it is an execution knob that canonicalization
-  // resets (to kApriori).
+  // Kept only because perfbench/probe.cc reads it; always kApriori.
   PoolMiner pool_miner = PoolMiner::kApriori;
 
   // Fusion parameters (see PatternFusionOptions).
@@ -56,7 +54,7 @@ struct ColossalMinerOptions {
   // byte-identical to before the knob existed).
   int top_k = 0;
 
-  // Item/cardinality constraints, pushed into the pool miners (items
+  // Item/cardinality constraints, pushed into the pool miner (items
   // outside the vocabulary never materialize Bitvectors), the fusion
   // merge step (max_len), and the final answer (min_len). Default
   // (unconstrained) is byte-identical to before the knob existed.
@@ -79,13 +77,13 @@ struct ColossalMinerOptions {
   // for any value, and canonicalization zeroes it.
   int shard_parallelism = 0;
 
-  // Field-wise equality (every knob, including the performance-only
-  // num_threads and shard_parallelism).
+  // Field-wise equality (every knob but the one-value pool_miner,
+  // including the performance-only num_threads and shard_parallelism).
   friend bool operator==(const ColossalMinerOptions& a,
                          const ColossalMinerOptions& b) {
     return a.sigma == b.sigma && a.min_support_count == b.min_support_count &&
            a.initial_pool_max_size == b.initial_pool_max_size &&
-           a.pool_miner == b.pool_miner && a.tau == b.tau && a.k == b.k &&
+           a.tau == b.tau && a.k == b.k &&
            a.max_iterations == b.max_iterations &&
            a.fusion_attempts_per_seed == b.fusion_attempts_per_seed &&
            a.max_superpatterns_per_seed == b.max_superpatterns_per_seed &&
@@ -101,10 +99,10 @@ struct ColossalMinerOptions {
 //   * a fractional sigma is resolved against `db` into the absolute
 //     min_support_count it denotes (then cleared), so sigma 0.5 and the
 //     matching --min-support collapse;
-//   * num_threads and shard_parallelism are zeroed and pool_miner is
-//     reset to kApriori, because all three are pure execution knobs
-//     (output is bit-identical for any value); executing callers read
-//     the caller's values, never the canonical ones;
+//   * num_threads and shard_parallelism are zeroed, because both are
+//     pure execution knobs (output is bit-identical for any value);
+//     executing callers read the caller's values, never the canonical
+//     ones;
 //   * constraints are canonicalized (lists sorted/deduplicated, no-op
 //     bounds erased — see CanonicalizeConstraints), so equal
 //     constraints in any spelling collapse;

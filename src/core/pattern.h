@@ -45,7 +45,7 @@ Pattern MakePattern(const TransactionDatabase& db, Itemset items,
                     Arena* arena = nullptr);
 
 // Converts a complete-miner result into patterns with support sets
-// re-derived from `db`. The pool path takes the miners' own sets
+// re-derived from `db`. The pool path takes Apriori's own sets
 // instead (MinePoolPatterns); this stays as the oracle tests check that
 // hand-over against.
 std::vector<Pattern> MakePatterns(const TransactionDatabase& db,

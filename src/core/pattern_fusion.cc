@@ -11,7 +11,6 @@
 #include "common/thread_pool.h"
 #include "core/pattern_distance.h"
 #include "mining/apriori.h"
-#include "mining/eclat.h"
 
 namespace colossal {
 
@@ -301,13 +300,10 @@ StatusOr<PatternFusionResult> RunPatternFusion(
 }
 
 StatusOr<std::vector<Pattern>> MinePoolPatterns(const TransactionDatabase& db,
-                                                PoolMiner miner,
                                                 const MinerOptions& options,
                                                 MinerStats* stats) {
   std::vector<Bitvector> support_sets;
-  StatusOr<MiningResult> mined =
-      miner == PoolMiner::kApriori ? MineApriori(db, options, &support_sets)
-                                   : MineEclat(db, options, &support_sets);
+  StatusOr<MiningResult> mined = MineApriori(db, options, &support_sets);
   if (!mined.ok()) return mined.status();
   if (stats != nullptr) *stats = mined->stats;
   std::vector<Pattern> patterns(mined->patterns.size());
@@ -316,17 +312,12 @@ StatusOr<std::vector<Pattern>> MinePoolPatterns(const TransactionDatabase& db,
     patterns[i].support_set = std::move(support_sets[i]);
     patterns[i].support = mined->patterns[i].support;
   }
-  // Apriori emits level by level in join order, which is already pool
-  // order; Eclat's DFS preorder is sorted here, sets and all.
-  if (miner == PoolMiner::kEclat) {
-    std::sort(patterns.begin(), patterns.end(), PoolOrderLess);
-  }
   return patterns;
 }
 
 StatusOr<std::vector<Pattern>> BuildInitialPool(
     const TransactionDatabase& db, int64_t min_support_count,
-    int max_pattern_size, PoolMiner miner, int num_threads, Arena* arena,
+    int max_pattern_size, PoolMiner /*miner*/, int num_threads, Arena* arena,
     const MiningConstraints& constraints, MinerStats* stats) {
   if (max_pattern_size < 1) {
     return Status::InvalidArgument("max_pattern_size must be >= 1");
@@ -338,7 +329,7 @@ StatusOr<std::vector<Pattern>> BuildInitialPool(
   miner_options.arena = arena;
   miner_options.constraints = constraints;
   StatusOr<std::vector<Pattern>> pool =
-      MinePoolPatterns(db, miner, miner_options, stats);
+      MinePoolPatterns(db, miner_options, stats);
   if (pool.ok() && pool->empty()) {
     return Status::FailedPrecondition(
         "no frequent patterns at min_support_count " +

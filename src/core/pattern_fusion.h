@@ -162,39 +162,29 @@ StatusOr<PatternFusionResult> RunPatternFusion(
     const TransactionDatabase& db, std::vector<Pattern> initial_pool,
     const PatternFusionOptions& options);
 
-// Which complete miner builds the initial pool. The paper allows "any
-// existing efficient mining algorithm"; both choices produce the
-// identical pool — MinePoolPatterns hands both over in (size,
-// lexicographic) order, so downstream fusion output is byte-identical
-// for either miner. They materialize the same support sets (every
-// frequent pattern up to the bound, and nothing else); breadth-first
-// Apriori prunes candidates by their subsets before counting them,
-// while depth-first Eclat probes every right sibling of a node and then
-// sorts its DFS order.
+// Kept only because perfbench/probe.cc names it; Apriori builds every pool.
 enum class PoolMiner {
   kApriori,
-  kEclat,
 };
 
-// Runs the complete miner `miner` names — the one place a PoolMiner
-// picks MineApriori or MineEclat — and hands over the patterns with the
-// support sets the miner computed for them, in (size, lexicographic)
-// order (PoolOrderLess): Apriori's output is already in that order, and
-// Eclat's is sorted together with its sets. Support sets are
-// arena-backed when options.arena is set. Unlike BuildInitialPool, an
-// empty result is not an error: the sharded miner mines each shard with
-// this, and a shard may hold no locally frequent pattern. `stats`, when
-// given, receives the miner's MinerStats.
+// Runs MineApriori — the one initial-pool miner — and hands over the
+// patterns with the support sets the join computed for them, in (size,
+// lexicographic) order (PoolOrderLess), the order Apriori emits.
+// Support sets are arena-backed when options.arena is set. Unlike
+// BuildInitialPool, an empty result is not an error: the sharded miner
+// mines each shard with this, and a shard may hold no locally frequent
+// pattern. `stats`, when given, receives the miner's MinerStats.
 StatusOr<std::vector<Pattern>> MinePoolPatterns(const TransactionDatabase& db,
-                                                PoolMiner miner,
                                                 const MinerOptions& options,
                                                 MinerStats* stats = nullptr);
 
-// Builds the initial pool (paper §2.3 phase 1): the complete set of
-// frequent patterns of size ≤ max_pattern_size, with the support sets
-// the miner computed, in (size, lexicographic) order regardless of the
-// miner (see MinePoolPatterns). `num_threads` (0 = auto) parallelizes
-// the underlying miner; the pool is identical for any value.
+// Builds the initial pool (paper §2.3 phase 1; the paper allows "any
+// existing efficient mining algorithm", and Apriori is the one used):
+// the complete set of frequent patterns of size ≤ max_pattern_size,
+// with the support sets the miner computed, in (size, lexicographic)
+// order (see MinePoolPatterns). `miner` is ignored; it stays only
+// because perfbench/probe.cc passes it. `num_threads` (0 = auto)
+// parallelizes the miner; the pool is identical for any value.
 // With an arena, the pool's support sets are arena-backed (the pool
 // must then not outlive the arena; fusion copies its answer out, so
 // this is safe for the MineColossal pipeline).

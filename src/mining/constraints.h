@@ -13,7 +13,7 @@ namespace colossal {
 // per-tenant constrained mining). The include list is a vocabulary
 // allowlist — patterns may only use listed items — not a must-contain
 // filter: an allowlist is anti-monotone-safe for both the bounded-size
-// pool miners and pattern fusion (unions of allowed items stay
+// complete miners and pattern fusion (unions of allowed items stay
 // allowed), so it can be pushed all the way into candidate generation.
 // Items outside the vocabulary are skipped before their tidsets are
 // ever counted or materialized.

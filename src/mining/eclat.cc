@@ -45,37 +45,28 @@ Extensions ExpandChild(const Extensions& extensions, size_t i,
 struct EclatState {
   const MinerOptions* options;
   MiningResult* result;
-  std::vector<Bitvector>* support_sets;  // null: the caller wants none
   int max_size;
   std::vector<ItemId> prefix;
 
-  // Emits the current pattern with `support` and reserves its slot in
-  // support_sets, which the caller fills once the node's subtree is done.
-  size_t Emit(int64_t support) {
+  // Emits the current pattern with `support`.
+  void Emit(int64_t support) {
     result->patterns.push_back({Itemset::FromSorted(prefix), support});
-    if (support_sets != nullptr) support_sets->emplace_back();
-    return result->patterns.size() - 1;
   }
 
   // Expands the node whose itemset is `prefix`, which is below the size
   // bound. `extensions` holds the (item, tidset) pairs that extend
   // `prefix` frequently, every item larger than the last prefix item;
   // each child's own extension list is built by intersecting tidsets
-  // before recursing, and only for children below the bound. A child's
-  // tidset moves into support_sets after its subtree: later siblings
-  // read only the extensions to their right.
-  void Recurse(Extensions& extensions) {
+  // before recursing, and only for children below the bound.
+  void Recurse(const Extensions& extensions) {
     for (size_t i = 0; i < extensions.size(); ++i) {
       if (result->stats.budget_exceeded) return;
       prefix.push_back(extensions[i].first);
-      const size_t slot = Emit(extensions[i].second.Count());
+      Emit(extensions[i].second.Count());
       if (static_cast<int>(prefix.size()) < max_size) {
         Extensions child_extensions =
             ExpandChild(extensions, i, *options, result->stats);
         if (!result->stats.budget_exceeded) Recurse(child_extensions);
-      }
-      if (support_sets != nullptr) {
-        (*support_sets)[slot] = std::move(extensions[i].second);
       }
       prefix.pop_back();
       if (result->stats.budget_exceeded) return;
@@ -86,11 +77,9 @@ struct EclatState {
 }  // namespace
 
 StatusOr<MiningResult> MineEclat(const TransactionDatabase& db,
-                                 const MinerOptions& options,
-                                 std::vector<Bitvector>* support_sets) {
+                                 const MinerOptions& options) {
   Status valid = ValidateMinerOptions(db, options);
   if (!valid.ok()) return valid;
-  if (support_sets != nullptr) support_sets->clear();
 
   MiningResult result;
   const int max_size = options.max_pattern_size == 0
@@ -124,52 +113,37 @@ StatusOr<MiningResult> MineEclat(const TransactionDatabase& db,
     // Each root's subtree is an independent DFS over the extension
     // lists to its right: shard subtrees across workers into per-root
     // result fragments, then concatenate in root order — byte-for-byte
-    // the serial DFS enumeration. Workers read every root to their
-    // right, so root tidsets are handed over only after the join.
-    struct Fragment {
-      MiningResult result;
-      std::vector<Bitvector> support_sets;
-    };
+    // the serial DFS enumeration.
     ThreadPool workers(static_cast<int>(std::min<int64_t>(
         num_threads, static_cast<int64_t>(roots.size()))));
-    std::vector<Fragment> fragments = ParallelMap(
+    std::vector<MiningResult> fragments = ParallelMap(
         &workers, static_cast<int64_t>(roots.size()), [&](int64_t i) {
           const size_t root = static_cast<size_t>(i);
-          Fragment fragment;
-          EclatState state{
-              &options, &fragment.result,
-              support_sets != nullptr ? &fragment.support_sets : nullptr,
-              max_size, {roots[root].first}};
+          MiningResult fragment;
+          EclatState state{&options, &fragment, max_size, {roots[root].first}};
           state.Emit(roots[root].second.Count());
           if (max_size > 1) {
-            Extensions child_extensions = ExpandChild(
-                roots, root, options, fragment.result.stats);
+            Extensions child_extensions =
+                ExpandChild(roots, root, options, fragment.stats);
             state.Recurse(child_extensions);
           }
           return fragment;
         });
-    for (size_t i = 0; i < fragments.size(); ++i) {
-      Fragment& fragment = fragments[i];
-      result.stats.nodes_expanded += fragment.result.stats.nodes_expanded;
+    for (MiningResult& fragment : fragments) {
+      result.stats.nodes_expanded += fragment.stats.nodes_expanded;
       // Unreachable while budgeted runs force serial, but keeps the
       // flag from being silently dropped if that coupling ever changes.
-      if (fragment.result.stats.budget_exceeded) {
+      if (fragment.stats.budget_exceeded) {
         result.stats.budget_exceeded = true;
       }
-      for (FrequentItemset& pattern : fragment.result.patterns) {
+      for (FrequentItemset& pattern : fragment.patterns) {
         result.patterns.push_back(std::move(pattern));
-      }
-      if (support_sets != nullptr) {
-        fragment.support_sets[0] = std::move(roots[i].second);
-        for (Bitvector& set : fragment.support_sets) {
-          support_sets->push_back(std::move(set));
-        }
       }
     }
     return result;
   }
 
-  EclatState state{&options, &result, support_sets, max_size, {}};
+  EclatState state{&options, &result, max_size, {}};
   state.Recurse(roots);
   return result;
 }

@@ -69,11 +69,11 @@ struct MinerOptions {
   // Optional bump arena for the support sets MineApriori and MineEclat
   // compute (candidate sets and tidset intersections; the other miners
   // ignore it). The caller owns lifetime: a MiningResult never
-  // references it, but the support sets those two miners hand over
-  // through their `support_sets` out-parameter live in it, so the arena
-  // must outlive them. Purely a performance knob — output is
-  // byte-identical with or without it — and deliberately not part of
-  // any request canonicalization or cache key.
+  // references it, but the support sets MineApriori hands over through
+  // its `support_sets` out-parameter live in it, so the arena must
+  // outlive them. Purely a performance knob — output is byte-identical
+  // with or without it — and deliberately not part of any request
+  // canonicalization or cache key.
   Arena* arena = nullptr;
 };
 

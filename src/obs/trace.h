@@ -67,7 +67,7 @@ struct RequestTrace {
 
   // Non-phase per-request observables, filled by whichever layer knows
   // them (registry admission, the request and shard arenas, the sharded
-  // miner's resolved fan-out, the pool miners) and read back by the
+  // miner's resolved fan-out, the pool miner) and read back by the
   // flight recorder when the request completes. Atomic for the same
   // reason the phase accumulators are: shard jobs report concurrently.
   std::atomic<int64_t> admission_wait_nanos{0};

@@ -313,12 +313,11 @@ MiningService::Prepared MiningService::Prepare(const MineRequest& request,
 
 StatusOr<ColossalMiningResult> MiningService::RunMine(
     const MineRequest& request, const Prepared& prep, RequestTrace* trace) {
-  // Execution options: canonical, except the execution knobs — pool
-  // miner, thread count and shard parallelism, which canonicalization
-  // resets because output is bit-identical for any value — taken from
-  // the request (falling back to the service's per-job defaults).
+  // Execution options: canonical, except the execution knobs — thread
+  // count and shard parallelism, which canonicalization resets because
+  // output is bit-identical for any value — taken from the request
+  // (falling back to the service's per-job defaults).
   ColossalMinerOptions exec = prep.canonical.options;
-  exec.pool_miner = request.options.pool_miner;
   exec.num_threads = request.options.num_threads != 0
                          ? request.options.num_threads
                          : options_.mining_threads;

@@ -71,6 +71,7 @@ uint64_t HashMinerOptions(const ColossalMinerOptions& options) {
   hash = HashCombine(hash, static_cast<uint64_t>(options.min_support_count));
   hash = HashCombine(hash,
                      static_cast<uint64_t>(options.initial_pool_max_size));
+  // Always kApriori; still hashed so every stored key keeps its value.
   hash = HashCombine(hash, static_cast<uint64_t>(options.pool_miner));
   hash = HashCombine(hash, DoubleBits(options.tau));
   hash = HashCombine(hash, static_cast<uint64_t>(options.k));
@@ -136,9 +137,9 @@ StatusOr<MineRequest> ParseRequestLine(const std::string& line) {
   const Args& args = *parsed;
   Status known = args.CheckKnown(
       {"in", "format", "sigma", "min-support", "tau", "k", "pool-size",
-       "pool-miner", "max-iterations", "attempts", "retain", "seed",
-       "threads", "shards", "shard-parallelism", "top-k", "include",
-       "exclude", "min-len", "max-len"});
+       "max-iterations", "attempts", "retain", "seed", "threads", "shards",
+       "shard-parallelism", "top-k", "include", "exclude", "min-len",
+       "max-len"});
   if (!known.ok()) return known;
 
   MineRequest request;
@@ -234,16 +235,6 @@ StatusOr<MineRequest> ParseRequestLine(const std::string& line) {
   StatusOr<int64_t> seed = args.GetInt("seed", static_cast<int64_t>(options.seed));
   if (!seed.ok()) return seed.status();
   options.seed = static_cast<uint64_t>(*seed);
-
-  const std::string pool_miner = args.GetString("pool-miner", "apriori");
-  if (pool_miner == "apriori") {
-    options.pool_miner = PoolMiner::kApriori;
-  } else if (pool_miner == "eclat") {
-    options.pool_miner = PoolMiner::kEclat;
-  } else {
-    return Status::InvalidArgument("unknown --pool-miner '" + pool_miner +
-                                   "' (want apriori|eclat)");
-  }
   return request;
 }
 

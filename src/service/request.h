@@ -48,8 +48,8 @@ struct CanonicalRequest {
 
 // Stable content hash over the result-affecting option fields. Operates
 // on already-canonical options (call through CanonicalizeRequest);
-// num_threads, pool_miner and sigma are hashed too, which is harmless
-// because canonicalization has reset/resolved them.
+// num_threads, pool_miner (always kApriori) and sigma are hashed too,
+// which is harmless because canonicalization has reset/resolved them.
 //
 // Versioning: the legacy fields hash exactly as they always have, and
 // the mode extensions (top_k, constraints) fold in — under a version
@@ -64,8 +64,8 @@ uint64_t HashMinerOptions(const ColossalMinerOptions& options);
 // (see CanonicalizeMinerOptionsForSize — canonicalization depends on
 // the dataset only through |D|) and hashes the result. Equivalent
 // requests — sigma vs. the absolute support it denotes, any
-// num_threads/shard_parallelism/pool_miner, constraint lists in any
-// order — collapse to one CanonicalRequest.
+// num_threads/shard_parallelism, constraint lists in any order —
+// collapse to one CanonicalRequest.
 //
 // `fuse_mode` marks the sharded miner's approximate kFuse merge: it
 // folds a salt into options_hash so an approximate result can never be
@@ -103,9 +103,8 @@ struct ResultCacheKeyHash {
 //
 //   --in FILE [--format fimi|matrix|snapshot|manifest|auto]
 //   (--sigma F | --min-support N) [--tau F] [--k N] [--pool-size N]
-//   [--pool-miner apriori|eclat] [--max-iterations N] [--attempts N]
-//   [--retain N] [--seed S] [--threads N] [--shards exact|fuse]
-//   [--shard-parallelism N]
+//   [--max-iterations N] [--attempts N] [--retain N] [--seed S]
+//   [--threads N] [--shards exact|fuse] [--shard-parallelism N]
 //   [--top-k N] [--include I1,I2,...] [--exclude I1,I2,...]
 //   [--min-len N] [--max-len N]
 //

@@ -324,8 +324,8 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
       // exactly as in the unsharded BuildInitialPool path.
       miner_options.constraints = canonical->constraints;
       MinerStats stats;
-      StatusOr<std::vector<Pattern>> mined = MinePoolPatterns(
-          *shard->db, options.pool_miner, miner_options, &stats);
+      StatusOr<std::vector<Pattern>> mined =
+          MinePoolPatterns(*shard->db, miner_options, &stats);
       if (!mined.ok()) return mined.status();
       if (residency_.trace != nullptr) {
         residency_.trace->pool_nodes_expanded.fetch_add(
@@ -342,7 +342,6 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
       local.sigma = -1.0;
       local.min_support_count = local_min;
       local.num_threads = job_threads;
-      local.pool_miner = options.pool_miner;
       // Result shaping (top-k truncation, min_len filtering) applies
       // once, at the final cross-shard fusion — a per-shard cut would
       // drop the small core patterns the global fusion builds from.

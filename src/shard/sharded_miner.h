@@ -22,8 +22,8 @@ namespace colossal {
 // estimates from the manifest decide how many shards may be resident at
 // once under the registry budget, so cold sharded mines use every core
 // the budget admits while never holding more shard bytes than a
-// sequential walk's budget would. The miner mines each shard with the
-// configured miner and merges per-shard results in one of two modes:
+// sequential walk's budget would. The miner mines each shard and merges
+// per-shard results in one of two modes:
 //
 //   kExact — recovers the output of unsharded MineColossal *byte for
 //     byte*. Per shard, the complete bounded-size miner runs at the
@@ -37,10 +37,10 @@ namespace colossal {
 //     (Bitvector::OrWithShifted at the shard's row offset); a re-count
 //     pass then counts only the (candidate, shard) pairs the shard did
 //     not mine, and globally infrequent candidates are dropped —
-//     recovering the global initial pool, already in the order the
-//     level-wise miners enumerate. FuseColossalFromPool then runs the
-//     identical fusion pipeline, so results, iteration stats and cache
-//     entries are interchangeable with unsharded mining.
+//     recovering the global initial pool, already in the order Apriori
+//     enumerates. FuseColossalFromPool then runs the identical fusion
+//     pipeline, so results, iteration stats and cache entries are
+//     interchangeable with unsharded mining.
 //
 //   kFuse — the approximate mode for datasets too large to ever re-mine
 //     whole: each shard runs full MineColossal locally, the per-shard
@@ -171,8 +171,8 @@ class ShardedMiner {
 
   // Mines the sharded dataset. `options` is interpreted exactly as
   // MineColossal interprets it (sigma resolved against the manifest's
-  // transaction count; num_threads, shard_parallelism and pool_miner are
-  // pure execution knobs, read from `options` as given).
+  // transaction count; num_threads and shard_parallelism are pure
+  // execution knobs, read from `options` as given).
   //
   // `arena`, when given, backs the cross-shard phases (the merged
   // global support sets and fusion scratch) exactly as MineColossal's

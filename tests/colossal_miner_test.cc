@@ -139,32 +139,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::make_pair(50, 0.1), std::make_pair(100, 0.25),
                       std::make_pair(100, 0.5)));
 
-TEST(ColossalMinerTest, PoolMinerChoiceGivesIdenticalResults) {
-  LabeledDatabase labeled = MakeDiagPlus(20, 10);
-  ColossalMinerOptions options;
-  options.min_support_count = labeled.min_support_count;
-  options.initial_pool_max_size = 2;
-  options.k = 30;
-  options.seed = 9;
-  options.pool_miner = PoolMiner::kApriori;
-  StatusOr<ColossalMiningResult> apriori = MineColossal(labeled.db, options);
-  options.pool_miner = PoolMiner::kEclat;
-  StatusOr<ColossalMiningResult> eclat = MineColossal(labeled.db, options);
-  ASSERT_TRUE(apriori.ok());
-  ASSERT_TRUE(eclat.ok());
-  // The pools contain identical pattern SETS (Apriori enumerates
-  // breadth-first, Eclat depth-first, so the order — and therefore the
-  // seed draws — may differ, but the contract must hold either way).
-  EXPECT_EQ(apriori->initial_pool_size, eclat->initial_pool_size);
-  for (const StatusOr<ColossalMiningResult>* result : {&apriori, &eclat}) {
-    bool found = false;
-    for (const Pattern& pattern : (*result)->patterns) {
-      if (pattern.items == labeled.planted[0]) found = true;
-    }
-    EXPECT_TRUE(found);
-  }
-}
-
 TEST(ColossalMinerTest, TimesItsOwnPhasesIntoATrace) {
   // The core times its two phases itself, so a library caller passing a
   // RequestTrace gets the server's phase split; an unsharded mine never

@@ -147,11 +147,12 @@ TEST(DeterminismTest, NegativeNumThreadsIsRejectedNotFatal) {
 TEST(DeterminismTest, BuildInitialPoolIdenticalAcrossThreadCounts) {
   LabeledDatabase labeled = MakeDiagPlus(20, 10);
   StatusOr<std::vector<Pattern>> reference = BuildInitialPool(
-      labeled.db, labeled.min_support_count, 2, PoolMiner::kEclat, 1);
+      labeled.db, labeled.min_support_count, 2, PoolMiner::kApriori, 1);
   ASSERT_TRUE(reference.ok());
   for (int threads : {2, 8}) {
-    StatusOr<std::vector<Pattern>> pool = BuildInitialPool(
-        labeled.db, labeled.min_support_count, 2, PoolMiner::kEclat, threads);
+    StatusOr<std::vector<Pattern>> pool =
+        BuildInitialPool(labeled.db, labeled.min_support_count, 2,
+                         PoolMiner::kApriori, threads);
     ASSERT_TRUE(pool.ok());
     ExpectSamePatterns(*pool, *reference, threads);
   }

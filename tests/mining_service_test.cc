@@ -20,6 +20,7 @@
 #include "data/dataset_io.h"
 #include "data/generators.h"
 #include "data/snapshot_io.h"
+#include "mining/apriori.h"
 #include "mining/result_io.h"
 #include "service/admission.h"
 #include "service/dataset_registry.h"
@@ -145,7 +146,6 @@ TEST_F(MiningServiceTest, ServiceAnswersExactlyWhatTheCoreAnswers) {
       "--include 3,5,16,17,18,19,20,21,22,23,24,25,26,27,28,29,30",
       "--min-support 8 --k 20 --pool-size 2 --exclude 0,1,2,16,17",
       "--min-support 8 --k 20 --pool-size 3 --min-len 3 --max-len 10",
-      "--min-support 8 --k 20 --pool-size 2 --pool-miner eclat",
   };
   const std::string datasets[] = {*snap_path_,
                                   *manifest_path_ + " --shards exact"};
@@ -170,39 +170,34 @@ TEST_F(MiningServiceTest, ServiceAnswersExactlyWhatTheCoreAnswers) {
   }
 }
 
-// Canonicalization erases the pool miner, but execution must still run
-// the one the request named: the two spellings share a payload and a
-// cache key, while each miner leaves its own node count. Both miners
-// materialize exactly the pool's support sets, so their arena peaks
-// match; the node counts differ because Eclat probes every size-3
-// candidate Apriori prunes by a subset. On the Figure-3 data at support
-// 150, {c, e} and {e, f} are infrequent, so Apriori prunes {a, c, e}.
-TEST_F(MiningServiceTest, EclatSpellingSharesTheKeyButStillRunsEclat) {
+// A service mine records the pool miner's expanded nodes on its trace:
+// the count MineApriori reports for the same pool. On the Figure-3 data
+// at support 150, {c, e} and {e, f} are infrequent, so Apriori prunes
+// {a, c, e} before counting it.
+TEST_F(MiningServiceTest, TraceRecordsThePoolMinersNodeCount) {
   const std::string figure3_path =
       ::testing::TempDir() + "/service_test_figure3.fimi";
   ASSERT_TRUE(WriteFimiFile(MakePaperFigure3(), figure3_path).ok());
-  MineRequest apriori = BasicRequest();
-  apriori.dataset_path = figure3_path;
-  apriori.options.min_support_count = 150;
-  apriori.options.initial_pool_max_size = 3;
-  MineRequest eclat = apriori;
-  eclat.options.pool_miner = PoolMiner::kEclat;
+  MineRequest request = BasicRequest();
+  request.dataset_path = figure3_path;
+  request.options.min_support_count = 150;
+  request.options.initial_pool_max_size = 3;
 
-  MiningService apriori_service;
-  MiningService eclat_service;
-  RequestTrace apriori_trace;
-  RequestTrace eclat_trace;
-  const MiningResponse a = apriori_service.Mine(apriori, &apriori_trace);
-  const MiningResponse e = eclat_service.Mine(eclat, &eclat_trace);
-  ASSERT_TRUE(a.status.ok()) << a.status.ToString();
-  ASSERT_TRUE(e.status.ok()) << e.status.ToString();
-  EXPECT_EQ(RenderPatternsPayload(a), RenderPatternsPayload(e));
-  EXPECT_EQ(a.options_hash, e.options_hash);
-  EXPECT_GT(apriori_trace.arena_peak_bytes.load(), 0);
-  EXPECT_GT(eclat_trace.arena_peak_bytes.load(), 0);
-  EXPECT_GT(apriori_trace.pool_nodes_expanded.load(), 0);
-  EXPECT_GT(eclat_trace.pool_nodes_expanded.load(),
-            apriori_trace.pool_nodes_expanded.load());
+  MiningService service;
+  RequestTrace trace;
+  const MiningResponse mined = service.Mine(request, &trace);
+  ASSERT_TRUE(mined.status.ok()) << mined.status.ToString();
+  EXPECT_GT(trace.arena_peak_bytes.load(), 0);
+
+  StatusOr<TransactionDatabase> figure3 = ReadFimiFile(figure3_path);
+  ASSERT_TRUE(figure3.ok()) << figure3.status().ToString();
+  MinerOptions pool;
+  pool.min_support_count = 150;
+  pool.max_pattern_size = 3;
+  StatusOr<MiningResult> apriori = MineApriori(*figure3, pool);
+  ASSERT_TRUE(apriori.ok()) << apriori.status().ToString();
+  EXPECT_GT(apriori->stats.nodes_expanded, 0);
+  EXPECT_EQ(trace.pool_nodes_expanded.load(), apriori->stats.nodes_expanded);
 }
 
 // Serves one request line through the dispatch path and returns the

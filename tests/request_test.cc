@@ -43,25 +43,6 @@ TEST(CanonicalizeRequestTest, ThreadCountIsErased) {
   EXPECT_EQ(a->options.num_threads, 0);
 }
 
-TEST(CanonicalizeRequestTest, PoolMinerIsErased) {
-  // Both pool miners build the identical pool (BuildInitialPool sorts
-  // it), so like num_threads the miner is an execution knob: Eclat and
-  // Apriori requests share one cache key, the Apriori spelling's.
-  const TransactionDatabase db = MakeDiag(10);
-  ColossalMinerOptions apriori;
-  apriori.min_support_count = 3;
-  ColossalMinerOptions eclat = apriori;
-  eclat.pool_miner = PoolMiner::kEclat;
-
-  StatusOr<CanonicalRequest> a = CanonicalizeRequest(db, apriori);
-  StatusOr<CanonicalRequest> b = CanonicalizeRequest(db, eclat);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_TRUE(a->options == b->options);
-  EXPECT_EQ(a->options_hash, b->options_hash);
-  EXPECT_EQ(b->options.pool_miner, PoolMiner::kApriori);
-}
-
 TEST(CanonicalizeRequestTest, CanonicalizationIsIdempotent) {
   // The service hands canonical options to the core, which
   // canonicalizes again; that is only safe if the second pass is a
@@ -78,7 +59,6 @@ TEST(CanonicalizeRequestTest, CanonicalizationIsIdempotent) {
   shapes[2].constraints.min_len = 1;
   shapes[3].constraints.max_len = 2;  // caps the pool size of 3
   shapes[3].constraints.min_len = 2;
-  shapes[4].pool_miner = PoolMiner::kEclat;
   shapes[4].num_threads = 4;
   shapes[4].shard_parallelism = 2;
   for (const ColossalMinerOptions& shape : shapes) {
@@ -141,8 +121,8 @@ TEST(CanonicalizeRequestTest, RejectsSigmaAboveOne) {
 TEST(ParseRequestLineTest, ParsesFullGrammar) {
   StatusOr<MineRequest> request = ParseRequestLine(
       "--in data.fimi --format fimi --sigma 0.25 --tau 0.4 --k 50 "
-      "--pool-size 2 --pool-miner eclat --max-iterations 9 --attempts 3 "
-      "--retain 4 --seed 11 --threads 2 --shard-parallelism 4");
+      "--pool-size 2 --max-iterations 9 --attempts 3 --retain 4 --seed 11 "
+      "--threads 2 --shard-parallelism 4");
   ASSERT_TRUE(request.ok()) << request.status().ToString();
   EXPECT_EQ(request->dataset_path, "data.fimi");
   EXPECT_EQ(request->format, "fimi");
@@ -150,7 +130,6 @@ TEST(ParseRequestLineTest, ParsesFullGrammar) {
   EXPECT_DOUBLE_EQ(request->options.tau, 0.4);
   EXPECT_EQ(request->options.k, 50);
   EXPECT_EQ(request->options.initial_pool_max_size, 2);
-  EXPECT_EQ(request->options.pool_miner, PoolMiner::kEclat);
   EXPECT_EQ(request->options.max_iterations, 9);
   EXPECT_EQ(request->options.fusion_attempts_per_seed, 3);
   EXPECT_EQ(request->options.max_superpatterns_per_seed, 4);
@@ -166,7 +145,6 @@ TEST(ParseRequestLineTest, MinSupportVariantAndDefaults) {
   EXPECT_EQ(request->format, "auto");
   EXPECT_EQ(request->options.sigma, -1.0);
   EXPECT_EQ(request->options.min_support_count, 20);
-  EXPECT_EQ(request->options.pool_miner, PoolMiner::kApriori);
 }
 
 TEST(ParseRequestLineTest, RejectsBadRequests) {
@@ -179,14 +157,23 @@ TEST(ParseRequestLineTest, RejectsBadRequests) {
   EXPECT_FALSE(
       ParseRequestLine("--in d.fimi --min-support 5 --k 0").ok());
   EXPECT_FALSE(ParseRequestLine("--in d.fimi --min-support 5 "
-                                "--pool-miner fpgrowth")
-                   .ok());
-  EXPECT_FALSE(ParseRequestLine("--in d.fimi --min-support 5 "
                                 "--shard-parallelism -1")
                    .ok());
   EXPECT_FALSE(ParseRequestLine("--in d.fimi --min-support 5 "
                                 "--shard-parallelism 99999")
                    .ok());
+  // Apriori builds every initial pool, so the request grammar has no
+  // miner choice: either old spelling fails as an unknown flag.
+  for (const char* miner : {"apriori", "eclat"}) {
+    StatusOr<MineRequest> request = ParseRequestLine(
+        std::string("--in d.fimi --min-support 5 --pool-miner ") + miner);
+    ASSERT_FALSE(request.ok()) << miner;
+    EXPECT_EQ(request.status().code(), StatusCode::kInvalidArgument) << miner;
+    EXPECT_EQ(request.status().message().rfind(
+                  "unknown flag --pool-miner (known flags: --in ", 0),
+              0u)
+        << request.status().message();
+  }
 }
 
 TEST(ParseRequestLineTest, UnknownFlagErrorListsKnownFlags) {
@@ -203,10 +190,9 @@ TEST(ParseRequestLineTest, UnknownFlagErrorListsKnownFlags) {
 // captured from the pre-refactor binary (PR 9); if one of them moves,
 // cached results, in-flight dedup and cross-version replay all break.
 // The mode-extension fields hash only when set, which is exactly what
-// keeps these stable. The two --pool-miner eclat lines are the one
-// deliberate exception: canonicalization erases the pool miner, so they
-// were re-pinned to the hash of their --pool-miner apriori spelling
-// (checked below).
+// keeps these stable. The third and fourth lines are the one exception:
+// they were re-pinned to the Apriori pool miner's hash when the miner
+// choice left request identity.
 TEST(GoldenCacheKeyTest, LegacyRequestLinesKeepTheirHistoricalHashes) {
   struct GoldenKey {
     const char* line;
@@ -220,12 +206,12 @@ TEST(GoldenCacheKeyTest, LegacyRequestLinesKeepTheirHistoricalHashes) {
       {"--in data.fimi --min-support 12 --k 10 --pool-size 2", 4395,
        0xb66730b5020a57d3ULL, 0xaace0c50d9579324ULL},
       {"--in data.fimi --sigma 0.25 --tau 0.4 --k 50 --pool-size 2 "
-       "--pool-miner eclat --max-iterations 9 --attempts 3 --retain 4 "
-       "--seed 11 --threads 2 --shard-parallelism 4",
+       "--max-iterations 9 --attempts 3 --retain 4 --seed 11 --threads 2 "
+       "--shard-parallelism 4",
        100, 0x18c2ac83764f60c5ULL, 0xd2497764657e5543ULL},
       {"--in data.fimi --sigma 0.25 --tau 0.4 --k 50 --pool-size 2 "
-       "--pool-miner eclat --max-iterations 9 --attempts 3 --retain 4 "
-       "--seed 11 --threads 2 --shard-parallelism 4",
+       "--max-iterations 9 --attempts 3 --retain 4 --seed 11 --threads 2 "
+       "--shard-parallelism 4",
        4395, 0xc1d389a214ebdddeULL, 0x233d5a00d0075089ULL},
       {"--in d.snap --min-support 20", 100, 0x543d6b0fe3bebe84ULL,
        0x2e1125a92c5aa5e6ULL},
@@ -255,21 +241,6 @@ TEST(GoldenCacheKeyTest, LegacyRequestLinesKeepTheirHistoricalHashes) {
         << key.line << " @" << key.num_transactions;
     EXPECT_EQ(fuse->options_hash, key.fuse_hash)
         << key.line << " @" << key.num_transactions;
-
-    std::string apriori_line = key.line;
-    const std::string eclat = "--pool-miner eclat";
-    const size_t at = apriori_line.find(eclat);
-    if (at == std::string::npos) continue;
-    apriori_line.replace(at, eclat.size(), "--pool-miner apriori");
-    StatusOr<MineRequest> apriori = ParseRequestLine(apriori_line);
-    ASSERT_TRUE(apriori.ok()) << apriori_line;
-    for (bool fuse_mode : {false, true}) {
-      StatusOr<CanonicalRequest> spelled = CanonicalizeRequestForSize(
-          key.num_transactions, apriori->options, fuse_mode);
-      ASSERT_TRUE(spelled.ok()) << apriori_line;
-      EXPECT_EQ(spelled->options_hash, fuse_mode ? key.fuse_hash : key.hash)
-          << apriori_line << " @" << key.num_transactions;
-    }
   }
 }
 

@@ -167,74 +167,69 @@ TEST_F(ShardedMinerTest, ExactRecoversTheUnshardedPoolPatternByPattern) {
   int64_t recounted_below = 0;
   int64_t out_of_domain = 0;
   for (const Fixture& fixture : fixtures) {
-    for (PoolMiner pool_miner : {PoolMiner::kApriori, PoolMiner::kEclat}) {
-      ColossalMinerOptions options = BaseOptions();
-      options.min_support_count = fixture.min_support;
-      options.k = 1 << 20;
-      options.pool_miner = pool_miner;
-      StatusOr<ColossalMiningResult> reference =
-          MineColossal(*fixture.db, options);
-      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-      ASSERT_EQ(reference->iterations, 0);
-      ASSERT_EQ(static_cast<int64_t>(reference->patterns.size()),
-                reference->initial_pool_size);
+    ColossalMinerOptions options = BaseOptions();
+    options.min_support_count = fixture.min_support;
+    options.k = 1 << 20;
+    StatusOr<ColossalMiningResult> reference =
+        MineColossal(*fixture.db, options);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    ASSERT_EQ(reference->iterations, 0);
+    ASSERT_EQ(static_cast<int64_t>(reference->patterns.size()),
+              reference->initial_pool_size);
 
-      for (const std::string& manifest_path : fixture.manifest_paths) {
-        StatusOr<ShardManifest> manifest =
-            ReadShardManifestFile(manifest_path);
-        ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
-        ShardedMiner miner(*manifest, DiskLoader());
-        for (int fan_out : {1, 4}) {
-          options.shard_parallelism = fan_out;
-          StatusOr<ColossalMiningResult> sharded =
-              miner.Mine(options, ShardMergeMode::kExact);
-          ASSERT_TRUE(sharded.ok())
-              << manifest_path << ": " << sharded.status().ToString();
-          EXPECT_EQ(sharded->iterations, 0);
-          ASSERT_EQ(sharded->patterns.size(), reference->patterns.size())
-              << manifest_path << " fan-out=" << fan_out;
-          for (size_t i = 0; i < reference->patterns.size(); ++i) {
-            EXPECT_TRUE(sharded->patterns[i] == reference->patterns[i])
-                << manifest_path << " fan-out=" << fan_out << " pattern "
-                << i << " " << reference->patterns[i].items.ToString();
-          }
+    for (const std::string& manifest_path : fixture.manifest_paths) {
+      StatusOr<ShardManifest> manifest = ReadShardManifestFile(manifest_path);
+      ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+      ShardedMiner miner(*manifest, DiskLoader());
+      for (int fan_out : {1, 4}) {
+        options.shard_parallelism = fan_out;
+        StatusOr<ColossalMiningResult> sharded =
+            miner.Mine(options, ShardMergeMode::kExact);
+        ASSERT_TRUE(sharded.ok())
+            << manifest_path << ": " << sharded.status().ToString();
+        EXPECT_EQ(sharded->iterations, 0);
+        ASSERT_EQ(sharded->patterns.size(), reference->patterns.size())
+            << manifest_path << " fan-out=" << fan_out;
+        for (size_t i = 0; i < reference->patterns.size(); ++i) {
+          EXPECT_TRUE(sharded->patterns[i] == reference->patterns[i])
+              << manifest_path << " fan-out=" << fan_out << " pattern "
+              << i << " " << reference->patterns[i].items.ToString();
         }
+      }
 
-        std::set<Itemset> candidates;
-        std::vector<std::set<Itemset>> mined_by_shard;
-        std::vector<ItemId> shard_domains;
-        for (const ShardInfo& info : manifest->shards) {
-          StatusOr<TransactionDatabase> shard = ReadSnapshotFile(info.path);
-          ASSERT_TRUE(shard.ok()) << shard.status().ToString();
-          MinerOptions local;
-          local.min_support_count = ShardLocalMinSupport(
-              options.min_support_count, info.rows(),
-              manifest->num_transactions);
-          local.max_pattern_size = options.initial_pool_max_size;
-          StatusOr<std::vector<Pattern>> pool =
-              MinePoolPatterns(*shard, pool_miner, local);
-          ASSERT_TRUE(pool.ok()) << pool.status().ToString();
-          mined_by_shard.emplace_back();
-          for (const Pattern& pattern : *pool) {
-            candidates.insert(pattern.items);
-            mined_by_shard.back().insert(pattern.items);
-          }
-          shard_domains.push_back(shard->num_items());
+      std::set<Itemset> candidates;
+      std::vector<std::set<Itemset>> mined_by_shard;
+      std::vector<ItemId> shard_domains;
+      for (const ShardInfo& info : manifest->shards) {
+        StatusOr<TransactionDatabase> shard = ReadSnapshotFile(info.path);
+        ASSERT_TRUE(shard.ok()) << shard.status().ToString();
+        MinerOptions local;
+        local.min_support_count = ShardLocalMinSupport(
+            options.min_support_count, info.rows(),
+            manifest->num_transactions);
+        local.max_pattern_size = options.initial_pool_max_size;
+        StatusOr<std::vector<Pattern>> pool = MinePoolPatterns(*shard, local);
+        ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+        mined_by_shard.emplace_back();
+        for (const Pattern& pattern : *pool) {
+          candidates.insert(pattern.items);
+          mined_by_shard.back().insert(pattern.items);
         }
-        for (const Itemset& candidate : candidates) {
-          size_t first_miner = 0;
-          while (mined_by_shard[first_miner].count(candidate) == 0) {
-            ++first_miner;
-          }
-          for (size_t s = 0; s < mined_by_shard.size(); ++s) {
-            if (mined_by_shard[s].count(candidate) != 0) continue;
-            if (candidate[candidate.size() - 1] >= shard_domains[s]) {
-              ++out_of_domain;
-            } else if (s > first_miner) {
-              ++recounted_above;
-            } else {
-              ++recounted_below;
-            }
+        shard_domains.push_back(shard->num_items());
+      }
+      for (const Itemset& candidate : candidates) {
+        size_t first_miner = 0;
+        while (mined_by_shard[first_miner].count(candidate) == 0) {
+          ++first_miner;
+        }
+        for (size_t s = 0; s < mined_by_shard.size(); ++s) {
+          if (mined_by_shard[s].count(candidate) != 0) continue;
+          if (candidate[candidate.size() - 1] >= shard_domains[s]) {
+            ++out_of_domain;
+          } else if (s > first_miner) {
+            ++recounted_above;
+          } else {
+            ++recounted_below;
           }
         }
       }
@@ -549,35 +544,6 @@ TEST_F(ShardedMinerTest, EstimateOverestimatesActualResidentBytes) {
   text_shard.row_end = db_->num_transactions();
   EXPECT_GE(EstimateShardResidentBytes(text_shard, db_->num_items()),
             db_->ApproxMemoryBytes());
-}
-
-TEST_F(ShardedMinerTest, ExactHoldsForTheEclatPoolMinerToo) {
-  // BuildInitialPool normalizes both miners to (size, lex) order, so
-  // the byte-identity contract — and the shared cache entry between
-  // sharded and unsharded requests — holds for --pool-miner eclat as
-  // well, not just the default Apriori.
-  ColossalMinerOptions options = BaseOptions();
-  options.pool_miner = PoolMiner::kEclat;
-  StatusOr<ColossalMiningResult> reference = MineColossal(*db_, options);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-
-  // Pool-miner invariance of the unsharded pipeline itself.
-  StatusOr<ColossalMiningResult> via_apriori =
-      MineColossal(*db_, BaseOptions());
-  ASSERT_TRUE(via_apriori.ok());
-  EXPECT_EQ(Render(*reference), Render(*via_apriori));
-
-  StatusOr<ShardManifest> manifest =
-      ReadShardManifestFile((*manifest_paths_)[2]);  // 7 shards
-  ASSERT_TRUE(manifest.ok());
-  ShardedMiner miner(*manifest, DiskLoader());
-  StatusOr<ColossalMiningResult> sharded =
-      miner.Mine(options, ShardMergeMode::kExact);
-  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-  ASSERT_EQ(sharded->patterns.size(), reference->patterns.size());
-  for (size_t i = 0; i < reference->patterns.size(); ++i) {
-    EXPECT_TRUE(sharded->patterns[i] == reference->patterns[i]) << i;
-  }
 }
 
 TEST_F(ShardedMinerTest, ExactSigmaResolvesAgainstTheParentRowCount) {

@@ -11,7 +11,9 @@
 //       the dispatch path every front end uses, on --threads workers,
 //       and a per-request table (timing, cache source) plus a summary is
 //       printed. With --out-dir, request i's payload (the FIMI patterns
-//       a TCP reply carries) is written to DIR/response_<i>.txt.
+//       a TCP reply carries) is written to DIR/response_<i>.txt; a
+//       failed request writes no file and is not counted in the
+//       `wrote N response file(s)` line.
 //       Duplicates dedup as on a socket: at --threads 1 a repeat is a
 //       cache hit; with more workers it may instead wait on the
 //       identical mine still running (coalesced). Exits nonzero if any
@@ -60,10 +62,11 @@
 // Request line grammar (see service/request.h):
 //   --in FILE [--format fimi|matrix|snapshot|manifest|auto]
 //   (--sigma F | --min-support N) [--tau F] [--k N] [--pool-size N]
-//   [--pool-miner apriori|eclat] [--max-iterations N] [--attempts N]
-//   [--retain N] [--seed S] [--threads N] [--shards exact|fuse]
-//   [--shard-parallelism N] [--top-k N] [--include I1,I2,...]
-//   [--exclude I1,I2,...] [--min-len N] [--max-len N]
+//   [--max-iterations N] [--attempts N] [--retain N] [--seed S]
+//   [--threads N] [--shards exact|fuse] [--shard-parallelism N]
+//   [--top-k N] [--include I1,I2,...] [--exclude I1,I2,...]
+//   [--min-len N] [--max-len N]
+// The initial pool is always mined by Apriori up to --pool-size.
 //
 // Cache semantics: results are keyed by (dataset content fingerprint,
 // canonical options). Equivalent requests — e.g. --sigma 0.5 vs. the
@@ -133,9 +136,9 @@ constexpr const char kUsage[] =
     "    --slow-log-file PATH (append slow-request lines there instead\n"
     "    of stderr)\n"
     "request lines: --in FILE (--sigma F | --min-support N) [--tau F]\n"
-    "    [--k N] [--pool-size N] [--pool-miner apriori|eclat]\n"
-    "    [--max-iterations N] [--attempts N] [--retain N] [--seed S]\n"
-    "    [--threads N] [--format fimi|matrix|snapshot|manifest|auto]\n"
+    "    [--k N] [--pool-size N] [--max-iterations N] [--attempts N]\n"
+    "    [--retain N] [--seed S] [--threads N]\n"
+    "    [--format fimi|matrix|snapshot|manifest|auto]\n"
     "    [--shards exact|fuse] [--shard-parallelism N]   (shard manifests)\n"
     "    [--top-k N] [--include I1,I2,...] [--exclude I1,I2,...]\n"
     "    [--min-len N] [--max-len N]   (top-k / constrained mining)\n"
@@ -268,13 +271,15 @@ int RunBatch(const Args& args) {
   }
 
   if (!out_dir.empty()) {
+    size_t files = 0;
     for (size_t i = 0; i < outcomes.size(); ++i) {
       if (!outcomes[i].response.status.ok()) continue;
       Status written =
           WriteResponseFile(out_dir, i, outcomes[i].patterns_payload);
       if (!written.ok()) return Fail(written);
+      ++files;
     }
-    std::printf("wrote %zu response file(s) to %s\n", outcomes.size(),
+    std::printf("wrote %zu response file(s) to %s\n", files,
                 out_dir.c_str());
   }
 
