@@ -400,19 +400,6 @@ BENCHMARK(BM_ThreadScalingFusionIteration)->Apply(ThreadArgs)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// Initial-pool mining (Apriori level counting sharded by join row).
-void BM_ThreadScalingPoolBuild(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  LabeledDatabase labeled = MakeMicroarrayLike(1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        BuildInitialPool(labeled.db, 30, 2, PoolMiner::kApriori, threads));
-  }
-}
-BENCHMARK(BM_ThreadScalingPoolBuild)->Apply(ThreadArgs)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
 // --- Service layer ----------------------------------------------------------
 // The request path of src/service/: what a request costs when it misses
 // everything (disk load + index build + mine), when the dataset registry

@@ -16,16 +16,18 @@ namespace colossal {
 // when the mine finishes. Routing them through an arena replaces that
 // allocator churn with pointer bumps, guarantees cache-line/SIMD
 // alignment for every Bitvector word buffer, and frees the whole mine
-// in one O(1) Reset that keeps the chunks for the next request — the
-// memory-plan idea from onnxruntime's aligned CPUAllocator applied to
-// the paper's tidset algebra.
+// a chunk at a time — the memory-plan idea from onnxruntime's aligned
+// CPUAllocator applied to the paper's tidset algebra. Every mine owns
+// a fresh arena (the service's per request, MineColossal's own, one
+// per shard job), so each mine's chunks come from malloc and go back
+// to it; only the sharded miner's re-count scratch Resets and reuses.
 //
-// Concurrency: Allocate may be called from any number of threads (the
-// miners shard rows/roots across a pool); the fast path is a single
-// atomic fetch_add on the current chunk's offset, and only chunk
-// advancement takes a mutex. Reset and destruction must not race
-// Allocate — callers reset only between mining phases, after the worker
-// pool has joined.
+// Concurrency: Allocate may be called from any number of threads
+// (Eclat's root branches and fusion's seeds run across a pool); the
+// fast path is a single atomic fetch_add on the current chunk's offset,
+// and only chunk advancement takes a mutex. Reset and destruction must
+// not race Allocate — callers reset only between mining phases, after
+// the worker pool has joined.
 class Arena {
  public:
   // Every returned pointer is aligned to this many bytes (one cache
@@ -48,9 +50,8 @@ class Arena {
   void* Allocate(int64_t bytes);
 
   // Logically frees everything Allocate has returned, in O(chunks):
-  // every chunk is rewound and kept for reuse, so a steady-state
-  // request loop stops allocating from the OS entirely. Must not race
-  // Allocate.
+  // every chunk is rewound and kept for the allocations that follow.
+  // Must not race Allocate.
   void Reset();
 
   // Bytes handed out since the last Reset (after alignment rounding).

@@ -8,13 +8,9 @@
 
 namespace colossal {
 
-namespace {
-// Cap on spawned workers. Requests beyond this clamp rather than crash:
-// std::thread throws std::system_error once the OS refuses, and output
-// is identical for any thread count, so clamping is always safe.
-constexpr int kMaxThreads = 512;
-}  // namespace
-
+// Library callers past kMaxThreads clamp rather than crash: std::thread
+// throws std::system_error once the OS refuses, and output is identical
+// for any thread count, so clamping is always safe.
 int ResolveNumThreads(int num_threads) {
   COLOSSAL_CHECK(num_threads >= 0) << "num_threads=" << num_threads;
   if (num_threads >= 1) return std::min(num_threads, kMaxThreads);

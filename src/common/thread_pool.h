@@ -14,22 +14,24 @@
 namespace colossal {
 
 // Parallel-execution subsystem. Everything concurrent in the library —
-// the fusion engine's per-seed work, Apriori level counting, Eclat
-// branch exploration — runs through the ThreadPool below, and every
-// caller is written so that results are bit-identical for any thread
-// count (work is indexed by a deterministic slot; per-slot RNG streams
-// are derived from the slot index, never from scheduling order).
+// the fusion engine's per-seed work, Eclat branch exploration, the
+// sharded miner's shard fan-out — runs through the ThreadPool below,
+// and every caller is written so that results are bit-identical for
+// any thread count (work is indexed by a deterministic slot; per-slot
+// RNG streams are derived from the slot index, never from scheduling
+// order). Initial-pool mining (Apriori) runs on the calling thread.
 
-// Resolves the user-facing thread-count knob used by every options
-// struct: n >= 1 means exactly n threads, 0 (the default) means
-// hardware_concurrency (at least 1).
-int ResolveNumThreads(int num_threads);
-
-// Ceiling that request-facing front ends (colossal_serve request lines,
-// service flags) enforce on explicit thread counts, so one hostile or
+// The one ceiling on thread counts: ResolveNumThreads clamps to it, and
+// every front end (request lines, colossal_serve's and colossal_cli's
+// flags) rejects an explicit count above it, so one hostile or
 // fat-fingered request cannot abort the process by exhausting
 // thread-spawn resources. Generous versus any real machine.
-inline constexpr int kMaxExplicitThreads = 1024;
+inline constexpr int kMaxThreads = 512;
+
+// Resolves the user-facing thread-count knob used by every options
+// struct: n >= 1 means exactly min(n, kMaxThreads) threads, 0 (the
+// default) means hardware_concurrency (at least 1, at most kMaxThreads).
+int ResolveNumThreads(int num_threads);
 
 // A fixed-size pool of worker threads consuming a FIFO task queue.
 // Construction spawns the workers; destruction stops accepting work,

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "common/arena.h"
+
 namespace colossal {
 
 StatusOr<ColossalMinerOptions> CanonicalizeMinerOptionsForSize(
@@ -99,6 +101,11 @@ StatusOr<ColossalMiningResult> MineColossal(const TransactionDatabase& db,
   StatusOr<ColossalMinerOptions> canonical =
       CanonicalizeMinerOptions(db, options);
   if (!canonical.ok()) return canonical.status();
+  // A caller without an arena gets one for this mine: the pool's join
+  // runs much faster on arena-backed support sets than on the heap, and
+  // FuseColossalFromPool detaches the answer before the arena dies.
+  Arena own_arena;
+  if (arena == nullptr) arena = &own_arena;
 
   // The thread count comes from the caller: canonicalization resets it.
   PhaseTimer pool_timer(trace, TracePhase::kPoolMine);

@@ -60,9 +60,10 @@ struct ColossalMinerOptions {
   // (unconstrained) is byte-identical to before the knob existed.
   MiningConstraints constraints;
 
-  // Worker threads for both phases — initial-pool mining and the fusion
-  // engine's per-seed work. 0 = auto (hardware_concurrency). Mining
-  // output is bit-identical for any value (see PatternFusionOptions).
+  // Worker threads for the fusion engine's per-seed work; initial-pool
+  // mining runs on the calling thread. 0 = auto (hardware_concurrency).
+  // Mining output is bit-identical for any value (see
+  // PatternFusionOptions).
   int num_threads = 0;
 
   // Concurrent shards during the sharded miner's phase-1 fan-out
@@ -141,13 +142,15 @@ struct ColossalMiningResult {
 
 // Runs initial-pool mining + Pattern-Fusion end to end.
 //
-// `arena`, when given, backs every mining temporary (initial-pool
-// support sets, fusion scratch) so the whole mine frees in one
-// Arena::Reset. It is a defaulted parameter — NOT a ColossalMinerOptions
-// field — because those options are hashed, compared, and canonicalized
-// as cache keys, and an execution-scoped pointer must never leak into
-// request identity. The returned patterns are always heap-backed;
-// output is byte-identical with or without an arena.
+// `arena` backs every mining temporary (initial-pool support sets,
+// fusion scratch) so the whole mine frees in one Arena::Reset or
+// destruction. It is optional: without one, MineColossal mines on an
+// arena of its own that dies on return. It is a defaulted parameter —
+// NOT a ColossalMinerOptions field — because those options are hashed,
+// compared, and canonicalized as cache keys, and an execution-scoped
+// pointer must never leak into request identity. The returned patterns
+// are always heap-backed; output is byte-identical with or without a
+// caller's arena.
 //
 // `trace`, when given, receives the wall time of the two phases:
 // initial-pool mining (kPoolMine) and fusion (kFusion), and the pool

@@ -317,15 +317,14 @@ StatusOr<std::vector<Pattern>> MinePoolPatterns(const TransactionDatabase& db,
 
 StatusOr<std::vector<Pattern>> BuildInitialPool(
     const TransactionDatabase& db, int64_t min_support_count,
-    int max_pattern_size, PoolMiner /*miner*/, int num_threads, Arena* arena,
-    const MiningConstraints& constraints, MinerStats* stats) {
+    int max_pattern_size, PoolMiner /*miner*/, int /*num_threads*/,
+    Arena* arena, const MiningConstraints& constraints, MinerStats* stats) {
   if (max_pattern_size < 1) {
     return Status::InvalidArgument("max_pattern_size must be >= 1");
   }
   MinerOptions miner_options;
   miner_options.min_support_count = min_support_count;
   miner_options.max_pattern_size = max_pattern_size;
-  miner_options.num_threads = num_threads;
   miner_options.arena = arena;
   miner_options.constraints = constraints;
   StatusOr<std::vector<Pattern>> pool =

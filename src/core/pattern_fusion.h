@@ -182,9 +182,9 @@ StatusOr<std::vector<Pattern>> MinePoolPatterns(const TransactionDatabase& db,
 // existing efficient mining algorithm", and Apriori is the one used):
 // the complete set of frequent patterns of size ≤ max_pattern_size,
 // with the support sets the miner computed, in (size, lexicographic)
-// order (see MinePoolPatterns). `miner` is ignored; it stays only
-// because perfbench/probe.cc passes it. `num_threads` (0 = auto)
-// parallelizes the miner; the pool is identical for any value.
+// order (see MinePoolPatterns). `miner` and `num_threads` are ignored
+// (the pool is mined on the calling thread); they stay only because
+// perfbench/probe.cc passes them.
 // With an arena, the pool's support sets are arena-backed (the pool
 // must then not outlive the arena; fusion copies its answer out, so
 // this is safe for the MineColossal pipeline).

@@ -1,11 +1,9 @@
 #include "mining/apriori.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "common/bitvector.h"
-#include "common/thread_pool.h"
 
 namespace colossal {
 
@@ -21,14 +19,12 @@ struct LevelEntry {
 
 // The join+prune+count work for one left parent `a` of the current
 // level: appends the row's frequent candidates (in join order) to `out`
-// and counts expanded nodes on `stats`. Reads `level` only, so rows
-// shard across workers (each row with its own `out`/`stats`);
-// concatenating row outputs in row order reproduces the serial
-// enumeration exactly. Returns false iff the node budget tripped
-// mid-row, with budget_exceeded set on `stats` — checked per candidate,
-// like every miner's budget. The prefix, prune and popcount checks run
-// on the parents' item vectors and one reused subset buffer, so a
-// candidate's Itemset is allocated only once it is known frequent.
+// and counts expanded nodes on `stats`. Returns false iff the node
+// budget tripped mid-row, with budget_exceeded set on `stats` — checked
+// per candidate, like every miner's budget. The prefix, prune and
+// popcount checks run on the parents' item vectors and one reused
+// subset buffer, so a candidate's Itemset is allocated only once it is
+// known frequent.
 bool JoinRow(const std::vector<LevelEntry>& level, size_t a,
              const MinerOptions& options, std::vector<LevelEntry>& out,
              MinerStats& stats) {
@@ -112,14 +108,6 @@ StatusOr<MiningResult> MineApriori(const TransactionDatabase& db,
                            ? static_cast<int>(db.num_items())
                            : options.max_pattern_size;
 
-  // Budgeted runs stay serial: the truncation point depends on the exact
-  // candidate visit order, which parallel row sharding does not preserve
-  // mid-row.
-  const int num_threads =
-      options.max_nodes != 0 ? 1 : ResolveNumThreads(options.num_threads);
-  // Spawned lazily, on the first level that actually has join work.
-  std::unique_ptr<ThreadPool> workers;
-
   // Level 1: frequent single items.
   std::vector<LevelEntry> level;
   for (ItemId item = 0; item < db.num_items(); ++item) {
@@ -145,40 +133,12 @@ StatusOr<MiningResult> MineApriori(const TransactionDatabase& db,
   // lexicographically (construction order preserves this), so joinable
   // partners are contiguous.
   for (int size = 2; size <= max_size && level.size() >= 2; ++size) {
-    if (num_threads > 1 && workers == nullptr) {
-      workers = std::make_unique<ThreadPool>(num_threads);
-    }
     std::vector<LevelEntry> next_level;
-    if (workers != nullptr) {
-      // Sharded by row: each worker fills its rows' output slots; rows
-      // concatenate in order afterwards. No budget in this mode (see
-      // above), so JoinRow cannot trip.
-      std::vector<std::vector<LevelEntry>> rows(level.size());
-      std::vector<MinerStats> row_stats(level.size());
-      workers->ParallelFor(
-          static_cast<int64_t>(level.size()), [&](int64_t a) {
-            JoinRow(level, static_cast<size_t>(a), options,
-                    rows[static_cast<size_t>(a)],
-                    row_stats[static_cast<size_t>(a)]);
-          });
-      for (size_t a = 0; a < level.size(); ++a) {
-        result.stats.nodes_expanded += row_stats[a].nodes_expanded;
-        // Unreachable while budgeted runs force serial, but keeps the
-        // flag from being silently dropped if that coupling ever changes.
-        if (row_stats[a].budget_exceeded) {
-          result.stats.budget_exceeded = true;
-        }
-        for (LevelEntry& entry : rows[a]) {
-          next_level.push_back(std::move(entry));
-        }
-      }
-    } else {
-      for (size_t a = 0; a < level.size(); ++a) {
-        // JoinRow sets budget_exceeded on result.stats when it trips.
-        if (!JoinRow(level, a, options, next_level, result.stats)) {
-          EmitLevel(level, result, support_sets);
-          return result;
-        }
+    for (size_t a = 0; a < level.size(); ++a) {
+      // JoinRow sets budget_exceeded on result.stats when it trips.
+      if (!JoinRow(level, a, options, next_level, result.stats)) {
+        EmitLevel(level, result, support_sets);
+        return result;
       }
     }
     EmitLevel(level, result, support_sets);

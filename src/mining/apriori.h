@@ -30,6 +30,7 @@ namespace colossal {
 // every level's sets would only cost memory.
 //
 // Each counted candidate costs one search node against options.max_nodes.
+// The join runs on the calling thread; options.num_threads is ignored.
 StatusOr<MiningResult> MineApriori(
     const TransactionDatabase& db, const MinerOptions& options,
     std::vector<Bitvector>* support_sets = nullptr);

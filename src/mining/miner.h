@@ -58,12 +58,12 @@ struct MinerOptions {
   // concern of the colossal pipeline).
   MiningConstraints constraints;
 
-  // Worker threads, honoured by MineApriori (level-wise candidate
-  // counting sharded by join row) and MineEclat (root branches sharded
-  // across workers); the other miners run serially. 0 = auto
-  // (hardware_concurrency). Output patterns and nodes_expanded are
-  // identical for any value. Budgeted runs (max_nodes != 0) fall back to
-  // serial so the truncation point stays deterministic.
+  // Worker threads, honoured by MineEclat only (root branches sharded
+  // across workers); MineApriori and the other miners run serially.
+  // 0 = auto (hardware_concurrency); negative values are rejected by
+  // every miner. Output patterns and nodes_expanded are identical for
+  // any value. Budgeted runs (max_nodes != 0) fall back to serial so the
+  // truncation point stays deterministic.
   int num_threads = 0;
 
   // Optional bump arena for the support sets MineApriori and MineEclat

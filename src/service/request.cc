@@ -195,9 +195,8 @@ StatusOr<MineRequest> ParseRequestLine(const std::string& line) {
        std::numeric_limits<int>::max(), &options.fusion_attempts_per_seed},
       {"retain", options.max_superpatterns_per_seed, 1,
        std::numeric_limits<int>::max(), &options.max_superpatterns_per_seed},
-      {"threads", options.num_threads, 0, kMaxExplicitThreads,
-       &options.num_threads},
-      {"shard-parallelism", options.shard_parallelism, 0, kMaxExplicitThreads,
+      {"threads", options.num_threads, 0, kMaxThreads, &options.num_threads},
+      {"shard-parallelism", options.shard_parallelism, 0, kMaxThreads,
        &options.shard_parallelism},
       // Mode extensions. 0 = off/unbounded for all four, so spelling the
       // default explicitly parses — and hashes — identically to omitting

@@ -292,9 +292,10 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
     residency_.trace->shard_parallelism.store(fan_out,
                                               std::memory_order_relaxed);
   }
-  // Thread budget: the concurrent shard jobs split the request's
-  // threads between them (at least one each), so a fan-out never runs
-  // more miner threads than the request asked for.
+  // Thread budget: exact mode mines each shard on its job's thread;
+  // fuse mode's concurrent jobs split the request's threads between
+  // them (at least one each) for their per-shard fusion, so a fan-out
+  // never runs more threads than the request asked for.
   const int job_threads =
       std::max(1, ResolveNumThreads(options.num_threads) / fan_out);
   auto mine_shard = [&](size_t i) -> StatusOr<ShardPool> {
@@ -317,7 +318,6 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
       MinerOptions miner_options;
       miner_options.min_support_count = local_min;
       miner_options.max_pattern_size = canonical->initial_pool_max_size;
-      miner_options.num_threads = job_threads;
       miner_options.arena = shard_arena.get();
       // Constraint pushdown reaches each shard's complete miner:
       // excluded vocabulary never materializes a per-shard Bitvector,

@@ -58,9 +58,10 @@ namespace colossal {
 // options alone (never from scheduling), and the merge keeps the
 // candidates in pool order — so exact mode stays byte-identical to both
 // the sequential sharded walk and unsharded MineColossal, and fuse mode
-// is identical across shard parallelism and thread counts. The
-// concurrent shard jobs split the request's threads between them: each
-// runs its miner at max(1, resolved num_threads / fan-out).
+// is identical across shard parallelism and thread counts. Exact mode
+// mines each shard on its job's thread; fuse mode's concurrent jobs
+// split the request's threads between them, each fusing at
+// max(1, resolved num_threads / fan-out).
 
 enum class ShardMergeMode {
   kExact,

@@ -159,9 +159,11 @@ TEST(DeterminismTest, BuildInitialPoolIdenticalAcrossThreadCounts) {
 }
 
 // Arena backing is a pure allocation strategy: the mine must produce
-// bit-identical output with and without a request arena, and nothing in
-// the result may still point into the arena (it resets between
-// requests).
+// bit-identical output with a caller's arena and without one (then
+// MineColossal mines on an arena of its own), at one thread and at
+// several, and nothing in either result may still point into an arena
+// (the caller's dies with its request; MineColossal's own dies on
+// return).
 TEST(DeterminismTest, MineColossalIdenticalWithAndWithoutArena) {
   LabeledDatabase labeled = MakeDiagPlus(30, 15);
   ColossalMinerOptions options;
@@ -171,31 +173,40 @@ TEST(DeterminismTest, MineColossalIdenticalWithAndWithoutArena) {
   options.k = 50;
   options.seed = 7;
 
-  StatusOr<ColossalMiningResult> heap = MineColossal(labeled.db, options);
-  ASSERT_TRUE(heap.ok());
+  for (int threads : {1, 4}) {
+    options.num_threads = threads;
+    StatusOr<ColossalMiningResult> own = MineColossal(labeled.db, options);
+    ASSERT_TRUE(own.ok()) << "num_threads=" << threads;
+    for (const Pattern& pattern : own->patterns) {
+      EXPECT_FALSE(pattern.support_set.arena_backed())
+          << "result escaped with MineColossal's own arena storage at "
+             "num_threads="
+          << threads;
+    }
 
-  Arena arena;
-  StatusOr<ColossalMiningResult> arena_backed =
-      MineColossal(labeled.db, options, &arena);
-  ASSERT_TRUE(arena_backed.ok());
-  EXPECT_GT(arena.high_water_bytes(), 0) << "arena was never used";
+    Arena arena;
+    StatusOr<ColossalMiningResult> arena_backed =
+        MineColossal(labeled.db, options, &arena);
+    ASSERT_TRUE(arena_backed.ok()) << "num_threads=" << threads;
+    EXPECT_GT(arena.high_water_bytes(), 0) << "arena was never used";
 
-  EXPECT_EQ(arena_backed->initial_pool_size, heap->initial_pool_size);
-  EXPECT_EQ(arena_backed->iterations, heap->iterations);
-  EXPECT_EQ(arena_backed->converged, heap->converged);
-  ExpectSamePatterns(arena_backed->patterns, heap->patterns, 1);
-  for (const Pattern& pattern : arena_backed->patterns) {
-    EXPECT_FALSE(pattern.support_set.arena_backed())
-        << "result escaped with arena-backed storage";
+    EXPECT_EQ(arena_backed->initial_pool_size, own->initial_pool_size);
+    EXPECT_EQ(arena_backed->iterations, own->iterations);
+    EXPECT_EQ(arena_backed->converged, own->converged);
+    ExpectSamePatterns(arena_backed->patterns, own->patterns, threads);
+    for (const Pattern& pattern : arena_backed->patterns) {
+      EXPECT_FALSE(pattern.support_set.arena_backed())
+          << "result escaped with arena-backed storage at num_threads="
+          << threads;
+    }
+
+    // A Reset arena mines the same answer again.
+    arena.Reset();
+    StatusOr<ColossalMiningResult> again =
+        MineColossal(labeled.db, options, &arena);
+    ASSERT_TRUE(again.ok()) << "num_threads=" << threads;
+    ExpectSamePatterns(again->patterns, own->patterns, threads);
   }
-
-  // Reusing the arena (as the service does across a request loop)
-  // changes neither the answer nor the arena's footprint direction.
-  arena.Reset();
-  StatusOr<ColossalMiningResult> again =
-      MineColossal(labeled.db, options, &arena);
-  ASSERT_TRUE(again.ok());
-  ExpectSamePatterns(again->patterns, heap->patterns, 1);
 }
 
 // Backend dispatch is invisible in the output: the scalar kernels and

@@ -162,6 +162,14 @@ TEST(ParseRequestLineTest, RejectsBadRequests) {
   EXPECT_FALSE(ParseRequestLine("--in d.fimi --min-support 5 "
                                 "--shard-parallelism 99999")
                    .ok());
+  // Both thread-count flags stop at kMaxThreads (512), the count
+  // ResolveNumThreads clamps to. Parsing only: no thread starts.
+  for (const char* flag : {"--threads", "--shard-parallelism"}) {
+    const std::string line =
+        std::string("--in d.fimi --min-support 5 ") + flag;
+    EXPECT_TRUE(ParseRequestLine(line + " 512").ok()) << flag;
+    EXPECT_FALSE(ParseRequestLine(line + " 513").ok()) << flag;
+  }
   // Apriori builds every initial pool, so the request grammar has no
   // miner choice: either old spelling fails as an unknown flag.
   for (const char* miner : {"apriori", "eclat"}) {

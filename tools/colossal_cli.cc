@@ -11,10 +11,10 @@
 //             [--format fimi|matrix|snapshot|auto]
 //             [--out FILE] [--tau F] [--k N] [--pool-size N] [--seed S]
 //             [--max-size N] [--budget N] [--min-length N] [--threads N]
-//       --threads 0 (the default) uses one worker per hardware thread;
-//       mining output is identical for every thread count. The flag is
-//       honoured by pf, apriori, and eclat; the other miners run
-//       serially regardless.
+//       --threads 0 (the default) uses one worker per hardware thread,
+//       at most 512; mining output is identical for every thread count.
+//       The flag drives pf's fusion and eclat; pf's pool mining,
+//       apriori and the other miners run serially regardless.
 //       Mines FILE and prints (or writes) the result in FIMI output
 //       format: "item item ... (support)".
 //   snapshot  --in FILE --out FILE [--format fimi|matrix|snapshot|auto]
@@ -52,6 +52,7 @@
 #include <vector>
 
 #include "common/args.h"
+#include "common/thread_pool.h"
 #include "core/colossal_miner.h"
 #include "core/evaluation.h"
 #include "data/dataset_io.h"
@@ -90,8 +91,9 @@ constexpr const char kMineUsage[] =
     "           [--format fimi|matrix|snapshot|auto] [--out FILE]\n"
     "           [--tau F] [--k N] [--pool-size N] [--seed S] [--max-size N]\n"
     "           [--budget N] [--min-length N] [--threads N]\n"
-    "  --threads N   worker threads (0 = one per hardware thread; output\n"
-    "                is identical for every value)\n";
+    "  --threads N   worker threads for pf's fusion and for eclat, at\n"
+    "                most 512 (0 = one per hardware thread; output is\n"
+    "                identical for every value)\n";
 constexpr const char kSnapshotUsage[] =
     "usage: colossal_cli snapshot --in FILE --out FILE\n"
     "           [--format fimi|matrix|snapshot|auto]\n";
@@ -306,9 +308,10 @@ int RunMine(const Args& args) {
   ASSIGN_OR_FAIL(const int64_t budget, args.GetInt("budget", 0));
   ASSIGN_OR_FAIL(const int64_t max_size, args.GetInt("max-size", 0));
   ASSIGN_OR_FAIL(const int64_t threads, args.GetInt("threads", 0));
-  if (threads < 0 || threads > std::numeric_limits<int>::max()) {
+  if (threads < 0 || threads > kMaxThreads) {
     return Fail(Status::InvalidArgument(
-        "--threads must be in [0, INT_MAX] (0 = auto)"));
+        "--threads must be in [0, " + std::to_string(kMaxThreads) +
+        "] (0 = auto)"));
   }
 
   const std::string algo = args.GetString("algo");

@@ -174,14 +174,14 @@ StatusOr<MiningServiceOptions> ServiceOptionsFromArgs(const Args& args,
   if (!max_inflight_mine_kb.ok()) return max_inflight_mine_kb.status();
   StatusOr<int64_t> slow_request_ms = args.GetInt("slow-request-ms", -1);
   if (!slow_request_ms.ok()) return slow_request_ms.status();
-  if (*threads < 0 || *threads > kMaxExplicitThreads || *mining_threads < 0 ||
-      *mining_threads > kMaxExplicitThreads || *shard_parallelism < 0 ||
-      *shard_parallelism > kMaxExplicitThreads || *cache_entries < 0 ||
+  if (*threads < 0 || *threads > kMaxThreads || *mining_threads < 0 ||
+      *mining_threads > kMaxThreads || *shard_parallelism < 0 ||
+      *shard_parallelism > kMaxThreads || *cache_entries < 0 ||
       *registry_mb < 1 || *max_inflight_mines < 0 ||
       *max_inflight_mine_kb < 0) {
     return Status::InvalidArgument(
         "--threads/--mining-threads/--shard-parallelism must be in [0, " +
-        std::to_string(kMaxExplicitThreads) +
+        std::to_string(kMaxThreads) +
         "], --cache-entries >= 0, --registry-mb >= 1, "
         "--max-inflight-mines/--max-inflight-mine-kb >= 0");
   }
