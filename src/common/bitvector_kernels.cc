@@ -1,6 +1,7 @@
 // Backend resolution for the Bitvector kernel table. Resolved lazily on
 // first use and cached in an atomic so the hot path pays one acquire
-// load; SetBitvectorForceScalar re-points it for benches and tools.
+// load; SetBitvectorForceScalar re-points it for tests and the repo
+// benchmark's probe.
 
 #include "common/bitvector_kernels.h"
 

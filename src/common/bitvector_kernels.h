@@ -66,8 +66,8 @@ const BitvectorKernels& ActiveBitvectorKernels();
 
 // Overrides the resolved backend for subsequent operations: true pins
 // scalar, false re-resolves (honoring the environment variable). For
-// benches, tools, and the differential tests; not intended to be called
-// concurrently with mining.
+// the repo benchmark's probe and the differential tests; not intended
+// to be called concurrently with mining.
 void SetBitvectorForceScalar(bool force_scalar);
 
 }  // namespace colossal

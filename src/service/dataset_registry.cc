@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/stopwatch.h"
 #include "data/snapshot_io.h"
 
 namespace colossal {
@@ -190,12 +189,10 @@ StatusOr<DatasetHandle> DatasetRegistry::Get(const std::string& path,
   // Load outside the lock so other paths stay servable. If two threads
   // race on the same new path both load; the second insert is dropped in
   // favour of the first (identical content either way).
-  Stopwatch stopwatch;
   StatusOr<TransactionDatabase> loaded = LoadDatabaseFile(path, format);
   if (!loaded.ok()) return loaded.status();
   auto db = std::make_shared<const TransactionDatabase>(*std::move(loaded));
   const uint64_t fingerprint = FingerprintDatabase(*db);
-  const double load_seconds = stopwatch.ElapsedSeconds();
 
   std::lock_guard<std::mutex> lock(mutex_);
   RegisterLoadedLocked(key, std::move(db), fingerprint, signature);
@@ -203,7 +200,6 @@ StatusOr<DatasetHandle> DatasetRegistry::Get(const std::string& path,
   handle.db = entries_.at(key).db;
   handle.fingerprint = entries_.at(key).fingerprint;
   handle.registry_hit = false;
-  handle.load_seconds = load_seconds;
   return handle;
 }
 
@@ -283,12 +279,10 @@ StatusOr<PinnedDatasetHandle> DatasetRegistry::GetPinned(
   }
   ReservationGuard reservation(this, estimated_bytes);
 
-  Stopwatch stopwatch;
   StatusOr<TransactionDatabase> loaded = LoadDatabaseFile(path, format);
   if (!loaded.ok()) return loaded.status();  // guard releases
   auto db = std::make_shared<const TransactionDatabase>(*std::move(loaded));
   const uint64_t fingerprint = FingerprintDatabase(*db);
-  const double load_seconds = stopwatch.ElapsedSeconds();
 
   std::lock_guard<std::mutex> lock(mutex_);
   // The reservation converts into the entry's actual byte accounting
@@ -300,7 +294,6 @@ StatusOr<PinnedDatasetHandle> DatasetRegistry::GetPinned(
   pinned.handle.db = entries_.at(key).db;
   pinned.handle.fingerprint = entries_.at(key).fingerprint;
   pinned.handle.registry_hit = false;
-  pinned.handle.load_seconds = load_seconds;
   pinned.admission_wait_nanos = admission_wait_nanos;
   pinned.pin = AddPinLocked(key);
   admission_cv_.notify_all();
@@ -369,21 +362,6 @@ StatusOr<ShardManifestHandle> DatasetRegistry::GetManifest(
   return handle;
 }
 
-void DatasetRegistry::Invalidate(const std::string& path) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  manifests_.erase(path);
-  sniffs_.erase(path);
-  std::vector<std::string> keys;
-  for (const auto& [key, entry] : entries_) {
-    if (key.compare(0, path.size(), path) == 0 &&
-        key.size() > path.size() && key[path.size()] == '\n') {
-      keys.push_back(key);
-    }
-  }
-  for (const std::string& key : keys) EraseEntryLocked(key);
-  admission_cv_.notify_all();
-}
-
 void DatasetRegistry::RegisterLoadedLocked(
     const std::string& key, std::shared_ptr<const TransactionDatabase> db,
     uint64_t fingerprint, const FileSignature& signature) {
@@ -418,9 +396,9 @@ void DatasetRegistry::EraseEntryLocked(const std::string& key) {
   if (it == entries_.end()) return;
   resident_bytes_ -= it->second.bytes;
   if (it->second.pin_count > 0) {
-    // Erasing a pinned entry (stale reload, Invalidate) drops its byte
-    // accounting with it; the outstanding pins carry the erased
-    // generation and release as no-ops.
+    // Erasing a pinned entry (a stale reload) drops its byte accounting
+    // with it; the outstanding pins carry the erased generation and
+    // release as no-ops.
     pinned_bytes_ -= it->second.bytes;
     admission_cv_.notify_all();
   }

@@ -26,8 +26,6 @@ struct DatasetHandle {
   uint64_t fingerprint = 0;
   // True when the registry served the dataset without touching disk.
   bool registry_hit = false;
-  // Wall-clock seconds of the disk load + fingerprint (0 on a hit).
-  double load_seconds = 0.0;
 };
 
 struct DatasetRegistryOptions {
@@ -82,7 +80,7 @@ struct PinnedDatasetHandle {
 // layer. Keyed by (path, format); thread-safe; LRU-evicts by the memory
 // budget. A hit re-stats the file's (size, mtime) signature and falls
 // back to a reload when it changed, so rewriting a registered file takes
-// effect on the next Get without an explicit Invalidate.
+// effect on the next Get.
 class DatasetRegistry {
  public:
   explicit DatasetRegistry(const DatasetRegistryOptions& options = {});
@@ -137,13 +135,6 @@ class DatasetRegistry {
   // manifests are a few hundred bytes, so they are kept outside the LRU
   // byte accounting.
   StatusOr<ShardManifestHandle> GetManifest(const std::string& path);
-
-  // Drops the entry for `path` (all formats) if present. In-flight users
-  // keep their shared_ptr; the next Get reloads from disk. Rewritten
-  // files are caught automatically by the signature check; Invalidate
-  // remains for out-of-band invalidation (e.g. a mount whose mtimes are
-  // not trustworthy).
-  void Invalidate(const std::string& path);
 
  private:
   // RAII release of a GetPinned budget reservation (defined in the

@@ -112,16 +112,17 @@ std::string ErrorFrame(const Status& status, uint64_t request_id) {
   return frame + " bytes=" + std::to_string(payload.size()) + "\n" + payload;
 }
 
-// Parses the single numeric argument of `recent`/`trace` control words.
+// Parses the single numeric argument of `recent`/`trace` control words:
+// decimal digits only, as ParseItemList takes item ids. strtoull alone
+// would skip leading spaces, accept a '+' and wrap a '-'.
 bool ParseControlNumber(const std::string& text, uint64_t* out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || errno != 0 ||
-      text[0] == '-') {
+  if (text.empty() ||
+      text.find_first_not_of("0123456789") != std::string::npos) {
     return false;
   }
+  errno = 0;
+  const unsigned long long value = std::strtoull(text.c_str(), nullptr, 10);
+  if (errno != 0) return false;
   *out = value;
   return true;
 }
@@ -646,7 +647,9 @@ HttpResponse HandleHttpRequest(MiningService& service,
     if (path == "/debug/requests") {
       control = "recent";
       if (!query.empty()) {
-        if (query.rfind("n=", 0) != 0) {
+        // An empty n= would reach the dispatcher as "recent " and be
+        // trimmed to the bare word, so it is refused here.
+        if (query.rfind("n=", 0) != 0 || query.size() == 2) {
           return HttpFault(service, 400, "unsupported query; use ?n=K\n",
                            "INVALID_ARGUMENT");
         }

@@ -315,15 +315,13 @@ StatusOr<ColossalMiningResult> MiningService::RunMine(
     const MineRequest& request, const Prepared& prep, RequestTrace* trace) {
   // Execution options: canonical, except the execution knobs — thread
   // count and shard parallelism, which canonicalization resets because
-  // output is bit-identical for any value — taken from the request
-  // (falling back to the service's per-job defaults).
+  // output is bit-identical for any value — taken from the request (a
+  // request without --threads gets the service's mining threads).
   ColossalMinerOptions exec = prep.canonical.options;
   exec.num_threads = request.options.num_threads != 0
                          ? request.options.num_threads
                          : options_.mining_threads;
-  exec.shard_parallelism = request.options.shard_parallelism != 0
-                               ? request.options.shard_parallelism
-                               : options_.shard_parallelism;
+  exec.shard_parallelism = request.options.shard_parallelism;
   // One arena per request: every mining temporary this request
   // allocates frees when the arena goes out of scope. The core detaches
   // results onto the heap before returning them, so the cached

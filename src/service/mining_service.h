@@ -29,13 +29,6 @@ struct MiningServiceOptions {
   // request can set its own --threads. Output is identical either way.
   int mining_threads = 1;
 
-  // Default phase-1 shard fan-out when a sharded request leaves
-  // options.shard_parallelism at 0. 0 = auto (one shard job per mining
-  // thread of the request, capped by the residency governor so
-  // concurrently resident shards fit the registry budget); 1 = the
-  // sequential walk. Output is identical for any value.
-  int shard_parallelism = 0;
-
   // Admission control over actual mines (cache hits and coalesced
   // joiners bypass the gate). 0 = unlimited. Over-limit requests fail
   // RESOURCE_EXHAUSTED — 429 + Retry-After on the HTTP front end —

@@ -420,7 +420,7 @@ TEST(DatasetRegistryTest, RewrittenFileReloadsAutomatically) {
   ASSERT_TRUE(registry.Get(path).ok());
   ASSERT_TRUE(registry.Get(path)->registry_hit);
 
-  // Rewrite in place (different size) — no Invalidate call.
+  // Rewrite in place (different size); the next Get notices on its own.
   ASSERT_TRUE(WriteFimiFile(MakeDiag(10), path).ok());
   StatusOr<DatasetHandle> reloaded = registry.Get(path);
   ASSERT_TRUE(reloaded.ok());
@@ -475,22 +475,6 @@ TEST(DatasetRegistryTest, DeletedFileFailsInsteadOfServingStaleData) {
   StatusOr<DatasetHandle> gone = registry.Get(path);
   EXPECT_FALSE(gone.ok());
   EXPECT_EQ(Scrape(metrics, "colossal_dataset_resident_datasets"), 0);
-}
-
-TEST(DatasetRegistryTest, InvalidateForcesReload) {
-  const std::string path =
-      ::testing::TempDir() + "/registry_invalidate.fimi";
-  ASSERT_TRUE(WriteFimiFile(MakeDiag(8), path).ok());
-  DatasetRegistry registry;
-  ASSERT_TRUE(registry.Get(path).ok());
-  ASSERT_TRUE(registry.Get(path)->registry_hit);
-
-  ASSERT_TRUE(WriteFimiFile(MakeDiag(10), path).ok());
-  registry.Invalidate(path);
-  StatusOr<DatasetHandle> reloaded = registry.Get(path);
-  ASSERT_TRUE(reloaded.ok());
-  EXPECT_FALSE(reloaded->registry_hit);
-  EXPECT_EQ(reloaded->db->num_transactions(), 10);
 }
 
 TEST(DatasetRegistryTest, PinnedEntriesSurviveEviction) {
@@ -667,11 +651,6 @@ TEST(DatasetRegistryTest, SniffCacheServesWarmVerdictsByStat) {
   EXPECT_TRUE(registry.SniffIsManifest(data_path));
   EXPECT_EQ(Scrape(metrics, "colossal_sniff_cache_hits_total"),
             2);  // miss re-sniffed
-  EXPECT_TRUE(registry.SniffIsManifest(data_path));
-  EXPECT_EQ(Scrape(metrics, "colossal_sniff_cache_hits_total"), 3);
-
-  // Invalidate drops the verdict with the rest of the path's entries.
-  registry.Invalidate(data_path);
   EXPECT_TRUE(registry.SniffIsManifest(data_path));
   EXPECT_EQ(Scrape(metrics, "colossal_sniff_cache_hits_total"), 3);
 }

@@ -365,6 +365,15 @@ TEST_F(ServeDispatchTest, RecentControlWordListsFlightRecords) {
   EXPECT_TRUE(DispatchServeLine(service_, "recent 1").debug_status.ok());
   EXPECT_FALSE(DispatchServeLine(service_, "recent 0").debug_status.ok());
   EXPECT_FALSE(DispatchServeLine(service_, "recent x").debug_status.ok());
+  // n is decimal digits only: no sign, no second space, and a negative
+  // is a usage error, never a wrapped count checked against capacity.
+  for (const char* malformed : {"recent +1", "recent  1", "recent  -1"}) {
+    ServeOutcome bad = DispatchServeLine(service_, malformed);
+    EXPECT_EQ(bad.debug_status.code(), StatusCode::kInvalidArgument)
+        << malformed;
+    EXPECT_EQ(bad.debug_status.message().rfind("usage: recent", 0), 0u)
+        << malformed << ": " << bad.debug_status.message();
+  }
   // At the capacity bound is fine; past it is a rejection that names
   // the bound, never a silently clamped listing — hostile counts (the
   // uint64 edge, absurd magnitudes) get the same well-formed error.
@@ -418,6 +427,13 @@ TEST_F(ServeDispatchTest, TraceControlWordRoundTripsAllPhases) {
   EXPECT_EQ(missing.debug_status.code(), StatusCode::kNotFound);
   EXPECT_FALSE(DispatchServeLine(service_, "trace").debug_status.ok());
   EXPECT_FALSE(DispatchServeLine(service_, "trace abc").debug_status.ok());
+  // Ids are decimal digits only, so a sign is a usage error, not a
+  // lookup of id 1 or of a wrapped negative.
+  for (const char* malformed : {"trace +1", "trace  -2"}) {
+    EXPECT_EQ(DispatchServeLine(service_, malformed).debug_status.code(),
+              StatusCode::kInvalidArgument)
+        << malformed;
+  }
 }
 
 TEST_F(ServeDispatchTest, StatsLineCarriesSlowRequests) {
@@ -624,11 +640,15 @@ TEST_F(ServeDispatchTest, HttpDebugEndpointsServeFlightRecords) {
                               true)
                 .status,
             200);
-  EXPECT_EQ(HandleHttpRequest(service_,
-                              MakeHttpRequest("GET", "/debug/requests?n=x"),
-                              true)
-                .status,
-            400);
+  for (const char* query : {"?n=x", "?n=", "?n=+1"}) {
+    EXPECT_EQ(HandleHttpRequest(
+                  service_,
+                  MakeHttpRequest("GET", std::string("/debug/requests") + query),
+                  true)
+                  .status,
+              400)
+        << query;
+  }
 
   // The by-id endpoint round-trips the id the /mine reply surfaced.
   HttpResponse trace = HandleHttpRequest(

@@ -3,8 +3,8 @@
 //
 // Subcommands:
 //   batch   --requests FILE [--out-dir DIR] [--threads N]
-//           [--mining-threads N] [--shard-parallelism N]
-//           [--cache-entries N] [--registry-mb N] [--csv]
+//           [--mining-threads N] [--cache-entries N] [--registry-mb N]
+//           [--csv]
 //       Replays a file of request lines (one request per line, '#'
 //       comments and blank lines ignored). Every line must parse first
 //       (else FILE:LINE: and exit 1); then the lines are served through
@@ -18,8 +18,8 @@
 //       cache hit; with more workers it may instead wait on the
 //       identical mine still running (coalesced). Exits nonzero if any
 //       request failed.
-//   daemon  [--mining-threads N] [--shard-parallelism N]
-//           [--cache-entries N] [--registry-mb N] [--no-patterns]
+//   daemon  [--mining-threads N] [--cache-entries N] [--registry-mb N]
+//           [--no-patterns]
 //       One session on stdin/stdout that behaves like one TCP connection
 //       to `listen`: the same LineFramer splits stdin (1 MiB line cap)
 //       and every reply is a counted frame, so a transcript parses like
@@ -28,7 +28,7 @@
 //       1; quit, shutdown and EOF end it with 0. A last line without its
 //       newline is not answered, as on a socket.
 //   listen  --port N [--host H] [--threads N] [--mining-threads N]
-//           [--shard-parallelism N] [--cache-entries N] [--registry-mb N]
+//           [--cache-entries N] [--registry-mb N]
 //           [--no-patterns] [--max-connections N] [--max-line-kb N]
 //           [--http-port N] [--http-pipeline N]
 //           [--max-inflight-mines N] [--max-inflight-mine-kb N]
@@ -79,11 +79,10 @@
 // --shards exact (the default) is byte-identical to unsharded mining of
 // the parent and shares its cache entries; --shards fuse runs the
 // approximate cross-shard fusion under its own cache key. Phase-1
-// per-shard mining fans out across --shard-parallelism concurrent shard
-// jobs (request flag, or the service-level default set here; 0 = auto:
-// up to the request's mining threads), capped by the residency governor
-// so concurrently resident shards always fit --registry-mb; output is
-// identical for any value.
+// per-shard mining fans out across the request's --shard-parallelism
+// concurrent shard jobs (0 = auto: one per mining thread of the
+// request), capped by the residency governor so concurrently resident
+// shards always fit --registry-mb; output is identical for any value.
 
 #include <unistd.h>
 
@@ -99,7 +98,6 @@
 #include <vector>
 
 #include "common/args.h"
-#include "common/bitvector_kernels.h"
 #include "common/table_printer.h"
 #include "net/http_server.h"
 #include "net/tcp_server.h"
@@ -117,14 +115,12 @@ int Fail(const Status& status) {
 
 constexpr const char kUsage[] =
     "usage: colossal_serve batch --requests FILE [--out-dir DIR]\n"
-    "           [--threads N] [--mining-threads N] [--shard-parallelism N]\n"
+    "           [--threads N] [--mining-threads N]\n"
     "           [--cache-entries N] [--registry-mb N] [--csv]\n"
     "       colossal_serve daemon [--mining-threads N]\n"
-    "           [--shard-parallelism N] [--cache-entries N]\n"
-    "           [--registry-mb N] [--no-patterns]\n"
+    "           [--cache-entries N] [--registry-mb N] [--no-patterns]\n"
     "       colossal_serve listen --port N [--host H] [--threads N]\n"
-    "           [--mining-threads N] [--shard-parallelism N]\n"
-    "           [--cache-entries N] [--registry-mb N]\n"
+    "           [--mining-threads N] [--cache-entries N] [--registry-mb N]\n"
     "           [--max-connections N] [--max-line-kb N] [--no-patterns]\n"
     "           [--http-port N] [--http-pipeline N]\n"
     "           [--max-inflight-mines N] [--max-inflight-mine-kb N]\n"
@@ -145,9 +141,6 @@ constexpr const char kUsage[] =
     "daemon/listen control words: stats (one-line counters), metrics\n"
     "    (Prometheus-style text exposition), recent [n] / trace <id>\n"
     "    (flight-recorder JSON), quit/exit, shutdown\n"
-    "all subcommands take --force-scalar (pin the scalar Bitvector\n"
-    "    kernels; same as COLOSSAL_FORCE_SCALAR=1 — output is identical\n"
-    "    either way, this exists for byte-identity checks and benchmarks)\n"
     "see the header of tools/colossal_serve.cc for details\n";
 
 // Shared service knobs for every subcommand. `threads_out` (null for
@@ -161,8 +154,6 @@ StatusOr<MiningServiceOptions> ServiceOptionsFromArgs(const Args& args,
   if (!threads.ok()) return threads.status();
   StatusOr<int64_t> mining_threads = args.GetInt("mining-threads", 1);
   if (!mining_threads.ok()) return mining_threads.status();
-  StatusOr<int64_t> shard_parallelism = args.GetInt("shard-parallelism", 0);
-  if (!shard_parallelism.ok()) return shard_parallelism.status();
   StatusOr<int64_t> cache_entries = args.GetInt("cache-entries", 256);
   if (!cache_entries.ok()) return cache_entries.status();
   StatusOr<int64_t> registry_mb = args.GetInt("registry-mb", 1024);
@@ -175,19 +166,17 @@ StatusOr<MiningServiceOptions> ServiceOptionsFromArgs(const Args& args,
   StatusOr<int64_t> slow_request_ms = args.GetInt("slow-request-ms", -1);
   if (!slow_request_ms.ok()) return slow_request_ms.status();
   if (*threads < 0 || *threads > kMaxThreads || *mining_threads < 0 ||
-      *mining_threads > kMaxThreads || *shard_parallelism < 0 ||
-      *shard_parallelism > kMaxThreads || *cache_entries < 0 ||
+      *mining_threads > kMaxThreads || *cache_entries < 0 ||
       *registry_mb < 1 || *max_inflight_mines < 0 ||
       *max_inflight_mine_kb < 0) {
     return Status::InvalidArgument(
-        "--threads/--mining-threads/--shard-parallelism must be in [0, " +
+        "--threads/--mining-threads must be in [0, " +
         std::to_string(kMaxThreads) +
         "], --cache-entries >= 0, --registry-mb >= 1, "
         "--max-inflight-mines/--max-inflight-mine-kb >= 0");
   }
   if (threads_out != nullptr) *threads_out = static_cast<int>(*threads);
   options.mining_threads = static_cast<int>(*mining_threads);
-  options.shard_parallelism = static_cast<int>(*shard_parallelism);
   options.cache.max_entries = *cache_entries;
   options.registry.memory_budget_bytes = *registry_mb * (int64_t{1} << 20);
   options.max_inflight_mines = static_cast<int>(*max_inflight_mines);
@@ -199,9 +188,8 @@ StatusOr<MiningServiceOptions> ServiceOptionsFromArgs(const Args& args,
 
 int RunBatch(const Args& args) {
   Status known = args.CheckKnown({"requests", "out-dir", "threads",
-                                  "mining-threads", "shard-parallelism",
-                                  "cache-entries", "registry-mb", "csv",
-                                  "force-scalar", "slow-request-ms",
+                                  "mining-threads", "cache-entries",
+                                  "registry-mb", "csv", "slow-request-ms",
                                   "slow-log-file"});
   if (!known.ok()) return Fail(known);
   const std::string requests_path = args.GetString("requests");
@@ -299,9 +287,8 @@ int RunBatch(const Args& args) {
 }
 
 int RunDaemon(const Args& args) {
-  Status known = args.CheckKnown({"mining-threads", "shard-parallelism",
-                                  "cache-entries", "registry-mb",
-                                  "no-patterns", "force-scalar",
+  Status known = args.CheckKnown({"mining-threads", "cache-entries",
+                                  "registry-mb", "no-patterns",
                                   "max-inflight-mines",
                                   "max-inflight-mine-kb", "slow-request-ms",
                                   "slow-log-file"});
@@ -354,10 +341,9 @@ void HandleStopSignal(int) {
 
 int RunListen(const Args& args) {
   Status known = args.CheckKnown({"port", "host", "threads",
-                                  "mining-threads", "shard-parallelism",
-                                  "cache-entries", "registry-mb",
-                                  "no-patterns", "max-connections",
-                                  "max-line-kb", "force-scalar",
+                                  "mining-threads", "cache-entries",
+                                  "registry-mb", "no-patterns",
+                                  "max-connections", "max-line-kb",
                                   "http-port", "http-pipeline",
                                   "max-inflight-mines",
                                   "max-inflight-mine-kb", "slow-request-ms",
@@ -504,16 +490,12 @@ int Main(int argc, char** argv) {
     std::fputs(kUsage, stdout);
     return 0;
   }
-  StatusOr<Args> args =
-      Args::Parse(argc, argv, 2, {"csv", "no-patterns", "force-scalar"});
+  StatusOr<Args> args = Args::Parse(argc, argv, 2, {"csv", "no-patterns"});
   if (!args.ok()) return Fail(args.status());
   if (args->HelpRequested()) {
     std::fputs(kUsage, stdout);
     return 0;
   }
-  // Kernel backend pin, for byte-identity smoke checks: the flag and
-  // the COLOSSAL_FORCE_SCALAR env var are equivalent.
-  if (args->Has("force-scalar")) SetBitvectorForceScalar(true);
   if (command == "batch") return RunBatch(*args);
   if (command == "daemon") return RunDaemon(*args);
   if (command == "listen") return RunListen(*args);
