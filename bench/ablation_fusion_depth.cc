@@ -2,10 +2,11 @@
 // Fusion fuses *subsets* of the CoreList, so one seed can emit
 // super-patterns of several depths; our implementation mirrors that with
 // saturating first attempts plus randomly-capped later attempts
-// (variable_merge_depth = true). This ablation compares that against
-// always-saturating fusion on the Replace stand-in: without depth
-// variety the result set collapses onto a handful of attractor patterns
-// and the approximation error stops improving with K.
+// (FuseColossalFromPool's variable_merge_depth = true, its default).
+// This ablation compares that against always-saturating fusion on the
+// Replace stand-in: without depth variety the result set collapses onto
+// a handful of attractor patterns and the approximation error stops
+// improving with K.
 
 #include <cstdio>
 #include <iostream>
@@ -13,8 +14,8 @@
 #include <vector>
 
 #include "common/table_printer.h"
+#include "core/colossal_miner.h"
 #include "core/evaluation.h"
-#include "core/pattern_fusion.h"
 #include "data/generators.h"
 #include "mining/closed_miner.h"
 
@@ -49,14 +50,14 @@ int main() {
                      pool.status().ToString().c_str());
         return 1;
       }
-      PatternFusionOptions options;
+      ColossalMinerOptions options;
       options.min_support_count = labeled.min_support_count;
       options.tau = 0.5;
       options.k = k;
       options.seed = 5 + static_cast<uint64_t>(k);
-      options.variable_merge_depth = variable;
-      StatusOr<PatternFusionResult> result =
-          RunPatternFusion(labeled.db, *std::move(pool), options);
+      StatusOr<ColossalMiningResult> result = FuseColossalFromPool(
+          labeled.db.num_transactions(), *std::move(pool), options,
+          /*arena=*/nullptr, /*variable_merge_depth=*/variable);
       if (!result.ok()) {
         std::fprintf(stderr, "fusion failed: %s\n",
                      result.status().ToString().c_str());

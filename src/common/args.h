@@ -3,6 +3,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
@@ -111,9 +112,12 @@ class Args {
     errno = 0;
     char* end = nullptr;
     const double value = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0' || errno != 0) {
+    // strtod also reads "nan" and "inf"; NaN passes every range check
+    // (it compares false), so no flag accepts a non-finite value.
+    if (end == it->second.c_str() || *end != '\0' || errno != 0 ||
+        !std::isfinite(value)) {
       return Status::InvalidArgument("flag --" + key +
-                                     " expects a number, got '" +
+                                     " expects a finite number, got '" +
                                      it->second + "'");
     }
     return value;

@@ -108,15 +108,6 @@ Bitvector& Bitvector::operator=(Bitvector&& other) noexcept {
 
 Bitvector::~Bitvector() { FreeWords(words_, arena_); }
 
-void Bitvector::DetachFromArena() {
-  if (arena_ == nullptr) return;
-  const int64_t n = num_words();
-  uint64_t* heap_words = AllocateWords(n, nullptr);
-  if (n > 0) std::memcpy(heap_words, words_, static_cast<size_t>(n) * 8);
-  words_ = heap_words;
-  arena_ = nullptr;
-}
-
 Bitvector Bitvector::FromIndices(int64_t num_bits,
                                  const std::vector<int64_t>& indices) {
   Bitvector result(num_bits);

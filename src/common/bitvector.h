@@ -26,9 +26,7 @@ class Arena;
 //  - moves keep whatever backing the source had;
 //  - the plain copy constructor/assignment always produce a HEAP-backed
 //    copy, so a value copied out of a mine (result patterns, caches)
-//    never dangles when the mine's arena resets;
-//  - DetachFromArena() re-homes storage onto the heap in place, which
-//    the mining pipeline applies to anything that outlives the request.
+//    never dangles when the mine's arena resets.
 class Bitvector {
  public:
   // Constructs an empty (zero-length) vector.
@@ -66,10 +64,6 @@ class Bitvector {
 
   // True iff the word buffer lives in an Arena (and so dies with it).
   bool arena_backed() const { return arena_ != nullptr; }
-
-  // If arena-backed, copies the words onto the heap in place; no-op
-  // otherwise. Call before a vector escapes its arena's lifetime.
-  void DetachFromArena();
 
   void Set(int64_t bit);
   void Reset(int64_t bit);

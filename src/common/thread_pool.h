@@ -14,12 +14,14 @@
 namespace colossal {
 
 // Parallel-execution subsystem. Everything concurrent in the library —
-// the fusion engine's per-seed work, Eclat branch exploration, the
-// sharded miner's shard fan-out — runs through the ThreadPool below,
-// and every caller is written so that results are bit-identical for
-// any thread count (work is indexed by a deterministic slot; per-slot
-// RNG streams are derived from the slot index, never from scheduling
-// order). Initial-pool mining (Apriori) runs on the calling thread.
+// fusion's per-seed work (FuseColossalFromPool), Eclat branch
+// exploration, the sharded miner's shard fan-out, the TCP server's
+// handler pool and batch replay (DispatchBatch) — runs through the
+// ThreadPool below. Every mining caller is written so that results are
+// bit-identical for any thread count (work is indexed by a
+// deterministic slot; per-slot RNG streams are derived from the slot
+// index, never from scheduling order). Initial-pool mining (Apriori)
+// runs on the calling thread.
 
 // The one ceiling on thread counts: ResolveNumThreads clamps to it, and
 // every front end (request lines, colossal_serve's and colossal_cli's
@@ -76,7 +78,7 @@ void ParallelFor(ThreadPool* pool, int64_t n,
 
 // results[i] = fn(i) for i in [0, n), computed in parallel. The output
 // order is the index order regardless of scheduling, which is what keeps
-// the fusion engine deterministic under any thread count.
+// the fusion loop deterministic under any thread count.
 template <typename Fn>
 auto ParallelMap(ThreadPool* pool, int64_t n, Fn&& fn)
     -> std::vector<decltype(fn(int64_t{0}))> {

@@ -13,9 +13,25 @@
 
 namespace colossal {
 
-// One-call facade over the whole pipeline: bounded complete mining for
-// the initial pool, then iterative pattern fusion. This is the API the
-// examples and benches use:
+// The Pattern-Fusion mining model (paper §2.3 and §4, Algorithms 1–2).
+//
+// Given an initial pool — the complete set of frequent patterns up to a
+// small size — the algorithm iterates:
+//   1. draw K random seed patterns from the pool;
+//   2. for each seed α, collect its CoreList: every pool pattern within
+//      pattern distance r(τ) of α (by Theorem 2 this ball contains all
+//      τ-core patterns, present in the pool, of any pattern α is a
+//      τ-core of);
+//   3. fuse each CoreList into super-patterns whose merged members are
+//      all τ-core patterns of the result, retaining (when too many arise)
+//      a sample weighted by fused-set size;
+//   4. the fused super-patterns form the next pool.
+// The loop ends when the pool holds at most K patterns (Algorithm 1's
+// |S| > K condition) or after max_iterations.
+//
+// MineColossal runs the whole pipeline: bounded complete mining for
+// the initial pool, then the fusion loop. This is the API the examples
+// and benches use:
 //
 //   ColossalMinerOptions options;
 //   options.sigma = 0.03;   // or set min_support_count directly
@@ -26,7 +42,7 @@ namespace colossal {
 struct ColossalMinerOptions {
   // Support threshold. If sigma >= 0 it takes precedence and is converted
   // with TransactionDatabase::MinSupportCount; otherwise
-  // min_support_count is used as an absolute count.
+  // min_support_count is used as an absolute count. A NaN sigma fails.
   double sigma = -1.0;
   int64_t min_support_count = 1;
 
@@ -37,12 +53,33 @@ struct ColossalMinerOptions {
   // Kept only because perfbench/probe.cc reads it; always kApriori.
   PoolMiner pool_miner = PoolMiner::kApriori;
 
-  // Fusion parameters (see PatternFusionOptions).
+  // Core ratio τ ∈ (0, 1] (Definition 3). Controls both the ball radius
+  // r(τ) and the fusion invariant. Smaller τ lets fusion jump farther
+  // down the pattern tree in one step but admits looser cores.
   double tau = 0.5;
+
+  // K: seeds drawn per iteration, and the target answer-set size (≥ 1;
+  // top_k replaces it when set).
   int k = 100;
+
+  // Safety bound on fusion iterations (the paper's loop provably makes
+  // progress because support sets shrink, but adversarial pools can
+  // plateau above K).
   int max_iterations = 50;
+
+  // Independent shuffled greedy merges attempted per seed. Each attempt
+  // can discover a different super-pattern when the seed's ball supports
+  // several (the CoreList members are cores "of more than one pattern",
+  // §4).
   int fusion_attempts_per_seed = 2;
+
+  // At most this many distinct super-patterns are kept per seed; when
+  // attempts produce more, retention samples them weighted by the number
+  // of fused core patterns (the paper's size-weighted sampling
+  // heuristic).
   int max_superpatterns_per_seed = 2;
+
+  // RNG seed for the draws and shuffles; fixed seed ⇒ identical runs.
   uint64_t seed = 1;
 
   // Top-k mode: when > 0, the answer is the top_k largest patterns
@@ -60,10 +97,11 @@ struct ColossalMinerOptions {
   // (unconstrained) is byte-identical to before the knob existed.
   MiningConstraints constraints;
 
-  // Worker threads for the fusion engine's per-seed work; initial-pool
-  // mining runs on the calling thread. 0 = auto (hardware_concurrency).
-  // Mining output is bit-identical for any value (see
-  // PatternFusionOptions).
+  // Worker threads for fusion's per-seed work (ball query, shuffled
+  // merges, retention sampling); initial-pool mining runs on the
+  // calling thread. 0 = auto (hardware_concurrency). Mining output is
+  // bit-identical for any value, including 1: randomness is derived per
+  // seed slot, and candidates merge in slot order.
   int num_threads = 0;
 
   // Concurrent shards during the sharded miner's phase-1 fan-out
@@ -111,11 +149,15 @@ struct ColossalMinerOptions {
 //     top_k, so the requested k is output-irrelevant), and a max_len
 //     bound caps initial_pool_max_size (patterns above the bound are
 //     never wanted, so the pool never mines them).
-// Fails on sigma > 1 or contradictory constraints (mirroring
-// MineColossal's validation). Idempotent — canonicalizing canonical
-// options changes nothing — so the service can hand canonical options
-// (with its execution knobs set) to MineColossal, which canonicalizes
-// again. MineColossal(db, Canonicalize...(db, o)) == MineColossal(db, o).
+// Fails INVALID_ARGUMENT on any option a mine cannot run with — sigma
+// NaN or above 1, contradictory constraints, negative thread counts,
+// min-support outside [1, |D|], τ outside (0, 1], an effective K (top_k
+// when set, else k) below 1, or a pool size, iteration, attempt or
+// retain bound below 1 — so a bad request is refused before any pool is
+// mined. Idempotent — canonicalizing canonical options changes nothing
+// — so the service can hand canonical options (with its execution knobs
+// set) to MineColossal, which canonicalizes again.
+// MineColossal(db, Canonicalize...(db, o)) == MineColossal(db, o).
 StatusOr<ColossalMinerOptions> CanonicalizeMinerOptions(
     const TransactionDatabase& db, const ColossalMinerOptions& options);
 
@@ -161,18 +203,30 @@ StatusOr<ColossalMiningResult> MineColossal(
     const TransactionDatabase& db, const ColossalMinerOptions& options,
     Arena* arena = nullptr, RequestTrace* trace = nullptr);
 
-// The fusion half of MineColossal, split out so callers that build the
-// initial pool some other way — notably the sharded miner, which
-// recovers the pool from per-shard mining — run the byte-identical
-// pipeline from that point on. `options` must already carry an absolute
-// min_support_count (sigma resolved; options.sigma ignored), and the
-// pool patterns' support sets must span `num_transactions` bits.
-// `arena` backs fusion scratch exactly as in MineColossal; the pool may
-// itself be arena-backed. Result patterns are detached onto the heap
-// before returning, so they survive any later Arena::Reset.
+// The fusion loop (Algorithms 1–2): MineColossal's second half, for
+// callers that build the initial pool some other way — notably the
+// sharded miner, which recovers the pool from per-shard mining — so the
+// byte-identical pipeline runs from that point on. `options` must carry
+// an absolute min_support_count (options.sigma is ignored) and pass
+// CanonicalizeMinerOptions's checks, else the call fails
+// INVALID_ARGUMENT, as it does on an empty pool or on a pool pattern
+// that is infrequent or whose support is not its support set's popcount.
+// Each iteration's K seeds shard across options.num_threads workers;
+// each seed slot draws from its own Rng stream derived from (seed,
+// iteration, slot) and slots merge in slot order, so the output is
+// identical for any thread count. `arena` backs fusion scratch as in
+// MineColossal (without one the loop uses an arena of its own); the pool
+// may itself be arena-backed, and the answer is copied onto the heap.
+// `variable_merge_depth` mirrors the paper's Fusion of CoreList
+// *subsets*: when true, a seed's first attempt merges to saturation and
+// later attempts stop at a random merge budget, emitting intermediate
+// super-patterns too; when false every attempt saturates. It is an
+// ablation knob (bench/ablation_fusion_depth), not an option field,
+// because the options are the cache key.
 StatusOr<ColossalMiningResult> FuseColossalFromPool(
     int64_t num_transactions, std::vector<Pattern> initial_pool,
-    const ColossalMinerOptions& options, Arena* arena = nullptr);
+    const ColossalMinerOptions& options, Arena* arena = nullptr,
+    bool variable_merge_depth = true);
 
 }  // namespace colossal
 

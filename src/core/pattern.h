@@ -30,7 +30,7 @@ struct Pattern {
 };
 
 // Initial-pool order: by size, then lexicographically — the order
-// Apriori enumerates and SortPatterns imposes. The fusion engine is
+// Apriori enumerates and SortPatterns imposes. The fusion loop is
 // pool-order-sensitive (seed draws index the pool), so every initial
 // pool, sharded or not, is kept in this order.
 inline bool PoolOrderLess(const Pattern& a, const Pattern& b) {

@@ -401,13 +401,15 @@ MiningResponse MiningService::Execute(const MineRequest& request,
                                       RequestTrace* trace) {
   Stopwatch stopwatch;
   MiningResponse response;
+  // Set before the status check: a request refused after its dataset
+  // resolved (invalid options) still names the dataset it was for.
+  response.dataset_fingerprint = prep.fingerprint;
   if (!prep.status.ok()) {
     response.status = prep.status;
     response.seconds = stopwatch.ElapsedSeconds();
     return response;
   }
   response.dataset_registry_hit = prep.registry_hit;
-  response.dataset_fingerprint = prep.fingerprint;
   response.options_hash = prep.canonical.options_hash;
   if (prep.sharded) {
     response.shards = static_cast<int>(prep.manifest->shards.size());

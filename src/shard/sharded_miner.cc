@@ -240,20 +240,16 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
     const ColossalMinerOptions& options, ShardMergeMode mode,
     Arena* arena) const {
   const int64_t total_rows = manifest_.num_transactions;
+  // Canonicalization validates the options, the caller's thread counts
+  // included, before any shard loads.
   StatusOr<ColossalMinerOptions> canonical =
       CanonicalizeMinerOptionsForSize(total_rows, options);
   if (!canonical.ok()) return canonical.status();
   const int64_t min_support = canonical->min_support_count;
-  if (min_support > total_rows) {
-    return Status::InvalidArgument(
-        "min_support_count out of range: " + std::to_string(min_support));
-  }
-  // Mirrors BuildInitialPool's check; without it, 0 would mean
-  // "unbounded" to the per-shard complete miners — the explosion the
-  // bounded pool exists to avoid.
-  if (canonical->initial_pool_max_size < 1) {
-    return Status::InvalidArgument("max_pattern_size must be >= 1");
-  }
+  // A caller without an arena gets one for this mine, as in
+  // MineColossal. Declared before the candidates it backs.
+  Arena own_arena;
+  if (arena == nullptr) arena = &own_arena;
 
   // Phase 1 — per-shard mining, fanned out across a bounded pool of
   // shard jobs. ResolveFanOut caps concurrency so the concurrently

@@ -47,9 +47,9 @@ namespace colossal {
 //     colossal patterns (with their local support sets, sorted into the
 //     same order) are treated as core patterns, their global supports
 //     are recovered by the same merge and re-count (dropping globally
-//     infrequent ones), and FusionEngine fuses the union. The answer
-//     approximates the global colossal patterns without any single pass
-//     over an unsharded pool.
+//     infrequent ones), and FuseColossalFromPool fuses the union. The
+//     answer approximates the global colossal patterns without any
+//     single pass over an unsharded pool.
 //
 // Both modes are deterministic for any thread count and any shard
 // parallelism: per-shard results are collected by shard index (never
@@ -170,17 +170,19 @@ class ShardedMiner {
   ShardedMiner(const ShardedMiner&) = delete;
   ShardedMiner& operator=(const ShardedMiner&) = delete;
 
-  // Mines the sharded dataset. `options` is interpreted exactly as
-  // MineColossal interprets it (sigma resolved against the manifest's
+  // Mines the sharded dataset. `options` is interpreted and validated
+  // exactly as MineColossal does (sigma resolved against the manifest's
   // transaction count; num_threads and shard_parallelism are pure
-  // execution knobs, read from `options` as given).
+  // execution knobs, read from `options` as given), so invalid options
+  // fail INVALID_ARGUMENT before any shard loads.
   //
-  // `arena`, when given, backs the cross-shard phases (the merged
-  // global support sets and fusion scratch) exactly as MineColossal's
-  // arena parameter does; phase-1 shard jobs always use their own
-  // short-lived arenas, one per job, freed once the job's pool has been
-  // merged. Result patterns are heap-backed either way, and output is
-  // byte-identical with or without an arena.
+  // `arena` backs the cross-shard phases (the merged global support
+  // sets and fusion scratch) exactly as MineColossal's arena parameter
+  // does, and without one the miner uses an arena of its own for this
+  // mine; phase-1 shard jobs always use their own short-lived arenas,
+  // one per job, freed once the job's pool has been merged. Result
+  // patterns are heap-backed either way, and output is byte-identical
+  // with or without an arena.
   StatusOr<ColossalMiningResult> Mine(const ColossalMinerOptions& options,
                                       ShardMergeMode mode,
                                       Arena* arena = nullptr) const;

@@ -52,6 +52,12 @@ TEST(ArgsTest, NumericParsingErrors) {
   ASSERT_TRUE(args.ok());
   EXPECT_FALSE(args->GetInt("n", 0).ok());
   EXPECT_FALSE(args->GetDouble("tau", 0.0).ok());
+  // strtod reads all of these; NaN would pass any range check.
+  for (const char* value : {"nan", "-nan", "inf", "-inf", "NAN", "infinity"}) {
+    StatusOr<Args> non_finite = ParseVector({"--x", value});
+    ASSERT_TRUE(non_finite.ok()) << value;
+    EXPECT_FALSE(non_finite->GetDouble("x", 0.0).ok()) << value;
+  }
 }
 
 TEST(ArgsTest, NegativeNumbersParse) {

@@ -1,6 +1,9 @@
 #include "core/colossal_miner.h"
 
 #include <algorithm>
+#include <functional>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,6 +26,88 @@ TEST(ColossalMinerTest, ValidatesSigma) {
   ColossalMinerOptions options;
   options.sigma = 1.5;
   EXPECT_FALSE(MineColossal(db, options).ok());
+}
+
+// Canonicalization holds every check a mine's options must pass, so a
+// bad request is refused before any pool is mined.
+TEST(CanonicalizeMinerOptionsTest, RefusesInvalidOptions) {
+  const TransactionDatabase db = MakePaperFigure3();  // 400 transactions
+  ColossalMinerOptions valid;
+  valid.min_support_count = 100;
+  ASSERT_TRUE(CanonicalizeMinerOptions(db, valid).ok());
+
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const struct {
+    const char* name;
+    std::function<void(ColossalMinerOptions&)> spoil;
+  } cases[] = {
+      {"tau 0", [](ColossalMinerOptions& o) { o.tau = 0.0; }},
+      {"tau 1.5", [](ColossalMinerOptions& o) { o.tau = 1.5; }},
+      {"tau NaN", [](ColossalMinerOptions& o) { o.tau = kNaN; }},
+      {"sigma NaN", [](ColossalMinerOptions& o) { o.sigma = kNaN; }},
+      {"sigma -NaN", [](ColossalMinerOptions& o) { o.sigma = -kNaN; }},
+      {"sigma 1.5", [](ColossalMinerOptions& o) { o.sigma = 1.5; }},
+      {"k 0", [](ColossalMinerOptions& o) { o.k = 0; }},
+      {"top_k -1", [](ColossalMinerOptions& o) { o.top_k = -1; }},
+      {"max_iterations 0",
+       [](ColossalMinerOptions& o) { o.max_iterations = 0; }},
+      {"attempts 0",
+       [](ColossalMinerOptions& o) { o.fusion_attempts_per_seed = 0; }},
+      {"retain 0",
+       [](ColossalMinerOptions& o) { o.max_superpatterns_per_seed = 0; }},
+      {"min-support 0",
+       [](ColossalMinerOptions& o) { o.min_support_count = 0; }},
+      {"min-support above the row count",
+       [](ColossalMinerOptions& o) { o.min_support_count = 401; }},
+      {"pool size 0",
+       [](ColossalMinerOptions& o) { o.initial_pool_max_size = 0; }},
+      {"num_threads -1", [](ColossalMinerOptions& o) { o.num_threads = -1; }},
+      {"shard_parallelism -1",
+       [](ColossalMinerOptions& o) { o.shard_parallelism = -1; }},
+      {"min_len -1",
+       [](ColossalMinerOptions& o) { o.constraints.min_len = -1; }},
+  };
+  for (const auto& bad : cases) {
+    ColossalMinerOptions options = valid;
+    bad.spoil(options);
+    EXPECT_EQ(CanonicalizeMinerOptions(db, options).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad.name;
+  }
+
+  // The effective K is top_k when set: k 0 is then never read.
+  ColossalMinerOptions top_k = valid;
+  top_k.k = 0;
+  top_k.top_k = 5;
+  EXPECT_TRUE(CanonicalizeMinerOptions(db, top_k).ok());
+  // The boundary values pass: τ 1, min-support |D|, sigma 0 and 1.
+  ColossalMinerOptions edges = valid;
+  edges.tau = 1.0;
+  edges.min_support_count = 400;
+  EXPECT_TRUE(CanonicalizeMinerOptions(db, edges).ok());
+  for (double sigma : {0.0, 1.0}) {
+    ColossalMinerOptions by_sigma = valid;
+    by_sigma.sigma = sigma;
+    EXPECT_TRUE(CanonicalizeMinerOptions(db, by_sigma).ok()) << sigma;
+  }
+}
+
+TEST(ColossalMinerTest, InvalidOptionsAreRefusedBeforeThePoolIsMined) {
+  const TransactionDatabase db = MakePaperFigure3();
+  ColossalMinerOptions options;
+  options.min_support_count = 100;
+  options.tau = 0.0;
+  Arena arena;
+  RequestTrace trace;
+  StatusOr<ColossalMiningResult> result =
+      MineColossal(db, options, &arena, &trace);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(result.status().message(), "tau must be in (0, 1]");
+  EXPECT_EQ(trace.nanos(TracePhase::kPoolMine), 0);
+  EXPECT_EQ(trace.nanos(TracePhase::kFusion), 0);
+  EXPECT_EQ(trace.pool_nodes_expanded.load(), 0);
+  EXPECT_EQ(arena.high_water_bytes(), 0);
 }
 
 TEST(ColossalMinerTest, SigmaTakesPrecedenceOverAbsoluteCount) {

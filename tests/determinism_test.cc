@@ -1,4 +1,4 @@
-// Determinism regression tests for the parallel fusion engine: with a
+// Determinism regression tests for the parallel fusion loop: with a
 // fixed seed, the entire pipeline — initial-pool mining and pattern
 // fusion — must produce bit-identical output for every thread count.
 // This is the contract that lets `--threads` be a pure performance knob.
@@ -10,7 +10,6 @@
 #include "common/arena.h"
 #include "common/bitvector_kernels.h"
 #include "core/colossal_miner.h"
-#include "core/pattern_fusion.h"
 #include "data/generators.h"
 #include "mining/apriori.h"
 #include "mining/eclat.h"
@@ -54,37 +53,39 @@ TEST(DeterminismTest, MineColossalIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(DeterminismTest, FusionEngineIdenticalAcrossThreadCounts) {
+TEST(DeterminismTest, FuseColossalFromPoolIdenticalAcrossThreadCounts) {
   LabeledDatabase labeled = MakeMicroarrayLike(5);
   StatusOr<std::vector<Pattern>> pool =
       BuildInitialPool(labeled.db, 30, 2, PoolMiner::kApriori, 1);
   ASSERT_TRUE(pool.ok());
 
-  PatternFusionOptions options;
+  ColossalMinerOptions options;
   options.min_support_count = 30;
   options.tau = 0.5;
   options.k = 40;
   options.seed = 19;
 
   options.num_threads = 1;
-  StatusOr<PatternFusionResult> reference =
-      RunPatternFusion(labeled.db, *pool, options);
+  StatusOr<ColossalMiningResult> reference =
+      FuseColossalFromPool(labeled.db.num_transactions(), *pool, options);
   ASSERT_TRUE(reference.ok());
 
   for (int threads : {2, 8}) {
     options.num_threads = threads;
-    StatusOr<PatternFusionResult> result =
-        RunPatternFusion(labeled.db, *pool, options);
+    StatusOr<ColossalMiningResult> result =
+        FuseColossalFromPool(labeled.db.num_transactions(), *pool, options);
     ASSERT_TRUE(result.ok()) << "num_threads=" << threads;
     EXPECT_EQ(result->converged, reference->converged);
-    ASSERT_EQ(result->iterations.size(), reference->iterations.size());
-    for (size_t i = 0; i < result->iterations.size(); ++i) {
-      EXPECT_EQ(result->iterations[i].pool_size,
-                reference->iterations[i].pool_size);
-      EXPECT_EQ(result->iterations[i].min_pattern_size,
-                reference->iterations[i].min_pattern_size);
-      EXPECT_EQ(result->iterations[i].max_pattern_size,
-                reference->iterations[i].max_pattern_size);
+    EXPECT_EQ(result->iterations, reference->iterations);
+    ASSERT_EQ(result->iteration_stats.size(),
+              reference->iteration_stats.size());
+    for (size_t i = 0; i < result->iteration_stats.size(); ++i) {
+      EXPECT_EQ(result->iteration_stats[i].pool_size,
+                reference->iteration_stats[i].pool_size);
+      EXPECT_EQ(result->iteration_stats[i].min_pattern_size,
+                reference->iteration_stats[i].min_pattern_size);
+      EXPECT_EQ(result->iteration_stats[i].max_pattern_size,
+                reference->iteration_stats[i].max_pattern_size);
     }
     ExpectSamePatterns(result->patterns, reference->patterns, threads);
   }
@@ -137,11 +138,6 @@ TEST(DeterminismTest, NegativeNumThreadsIsRejectedNotFatal) {
   miner_options.num_threads = -1;
   EXPECT_FALSE(MineApriori(db, miner_options).ok());
   EXPECT_FALSE(MineEclat(db, miner_options).ok());
-
-  std::vector<Pattern> pool = {MakePattern(db, Itemset({0}))};
-  PatternFusionOptions fusion_options;
-  fusion_options.num_threads = -1;
-  EXPECT_FALSE(RunPatternFusion(db, pool, fusion_options).ok());
 }
 
 TEST(DeterminismTest, BuildInitialPoolIdenticalAcrossThreadCounts) {
@@ -160,10 +156,10 @@ TEST(DeterminismTest, BuildInitialPoolIdenticalAcrossThreadCounts) {
 
 // Arena backing is a pure allocation strategy: the mine must produce
 // bit-identical output with a caller's arena and without one (then
-// MineColossal mines on an arena of its own), at one thread and at
-// several, and nothing in either result may still point into an arena
-// (the caller's dies with its request; MineColossal's own dies on
-// return).
+// MineColossal, or FuseColossalFromPool for a caller's own pool, mines
+// on an arena of its own), at one thread and at several, and nothing in
+// any result may still point into an arena (the caller's dies with its
+// request; the miner's own dies on return).
 TEST(DeterminismTest, MineColossalIdenticalWithAndWithoutArena) {
   LabeledDatabase labeled = MakeDiagPlus(30, 15);
   ColossalMinerOptions options;
@@ -206,6 +202,29 @@ TEST(DeterminismTest, MineColossalIdenticalWithAndWithoutArena) {
         MineColossal(labeled.db, options, &arena);
     ASSERT_TRUE(again.ok()) << "num_threads=" << threads;
     ExpectSamePatterns(again->patterns, own->patterns, threads);
+
+    // The fusion half alone, on a heap-backed pool: with a caller's
+    // arena and on its own, the same answer as the whole mine.
+    StatusOr<std::vector<Pattern>> pool = BuildInitialPool(
+        labeled.db, options.min_support_count, options.initial_pool_max_size);
+    ASSERT_TRUE(pool.ok());
+    Arena fusion_arena;
+    for (Arena* fuse_on : {static_cast<Arena*>(nullptr), &fusion_arena}) {
+      StatusOr<ColossalMiningResult> fused = FuseColossalFromPool(
+          labeled.db.num_transactions(), *pool, options, fuse_on);
+      ASSERT_TRUE(fused.ok()) << "num_threads=" << threads;
+      EXPECT_EQ(fused->iterations, own->iterations);
+      EXPECT_EQ(fused->converged, own->converged);
+      ExpectSamePatterns(fused->patterns, own->patterns, threads);
+      for (const Pattern& pattern : fused->patterns) {
+        EXPECT_FALSE(pattern.support_set.arena_backed())
+            << "fused result escaped with arena-backed storage at "
+               "num_threads="
+            << threads;
+      }
+    }
+    EXPECT_GT(fusion_arena.high_water_bytes(), 0)
+        << "fusion never used the caller's arena";
   }
 }
 

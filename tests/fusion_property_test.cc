@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "core/colossal_miner.h"
-#include "core/pattern_fusion.h"
 #include "data/generators.h"
 
 namespace colossal {
@@ -33,13 +32,13 @@ TEST_P(FusionGridTest, ContractHoldsOnDiagPlus) {
       BuildInitialPool(labeled.db, labeled.min_support_count, 2);
   ASSERT_TRUE(pool.ok());
 
-  PatternFusionOptions options;
+  ColossalMinerOptions options;
   options.min_support_count = labeled.min_support_count;
   options.tau = config.tau;
   options.k = config.k;
   options.seed = config.seed;
-  StatusOr<PatternFusionResult> result =
-      RunPatternFusion(labeled.db, *std::move(pool), options);
+  StatusOr<ColossalMiningResult> result = FuseColossalFromPool(
+      labeled.db.num_transactions(), *std::move(pool), options);
   ASSERT_TRUE(result.ok());
   ASSERT_FALSE(result->patterns.empty());
 
@@ -53,7 +52,7 @@ TEST_P(FusionGridTest, ContractHoldsOnDiagPlus) {
 
   // Contract 2: Lemma 5 — iteration min sizes never decrease.
   int previous_min = 0;
-  for (const FusionIterationStats& stats : result->iterations) {
+  for (const FusionIterationStats& stats : result->iteration_stats) {
     EXPECT_GE(stats.min_pattern_size, previous_min);
     EXPECT_LE(stats.min_pattern_size, stats.max_pattern_size);
     previous_min = stats.min_pattern_size;
@@ -152,14 +151,14 @@ TEST(FusionRetentionTest, TightCapStillReachesColossal) {
   StatusOr<std::vector<Pattern>> pool =
       BuildInitialPool(labeled.db, labeled.min_support_count, 2);
   ASSERT_TRUE(pool.ok());
-  PatternFusionOptions options;
+  ColossalMinerOptions options;
   options.min_support_count = labeled.min_support_count;
   options.k = 120;
   options.fusion_attempts_per_seed = 4;
   options.max_superpatterns_per_seed = 1;  // force the weighted sampler
   options.seed = 5;
-  StatusOr<PatternFusionResult> result =
-      RunPatternFusion(labeled.db, *std::move(pool), options);
+  StatusOr<ColossalMiningResult> result = FuseColossalFromPool(
+      labeled.db.num_transactions(), *std::move(pool), options);
   ASSERT_TRUE(result.ok());
   bool found = false;
   for (const Pattern& pattern : result->patterns) {
@@ -174,12 +173,12 @@ class SingletonPoolTest : public ::testing::TestWithParam<double> {};
 TEST_P(SingletonPoolTest, ReturnsTheSingleton) {
   TransactionDatabase db = MakePaperFigure3();
   std::vector<Pattern> pool = {MakePattern(db, Itemset({0, 1}))};
-  PatternFusionOptions options;
+  ColossalMinerOptions options;
   options.min_support_count = 100;
   options.tau = GetParam();
   options.k = 10;
-  StatusOr<PatternFusionResult> result =
-      RunPatternFusion(db, pool, options);
+  StatusOr<ColossalMiningResult> result =
+      FuseColossalFromPool(db.num_transactions(), pool, options);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->patterns.size(), 1u);
   EXPECT_EQ(result->patterns[0].items, Itemset({0, 1}));

@@ -200,6 +200,35 @@ TEST_F(MiningServiceTest, TraceRecordsThePoolMinersNodeCount) {
   EXPECT_EQ(trace.pool_nodes_expanded.load(), apriori->stats.nodes_expanded);
 }
 
+// Invalid options are refused while the request is canonicalized:
+// before the cache, admission, any shard load or any mining. The trace
+// holds no cache-lookup, pool-mine or fusion time, no pool work and no
+// arena, and the response still names the dataset it was for.
+TEST_F(MiningServiceTest, InvalidOptionsAreRefusedBeforeAnyMining) {
+  MiningService service;
+  const uint64_t fingerprint = FingerprintDatabase(*db_);
+  for (const std::string* dataset : {fimi_path_, manifest_path_}) {
+    MineRequest request = BasicRequest();
+    request.dataset_path = *dataset;
+    request.options.tau = 0.0;
+    RequestTrace trace;
+    const MiningResponse refused = service.Mine(request, &trace);
+    EXPECT_EQ(refused.status.code(), StatusCode::kInvalidArgument)
+        << *dataset << ": " << refused.status.ToString();
+    EXPECT_EQ(refused.status.message(), "tau must be in (0, 1]");
+    EXPECT_EQ(refused.source, ResponseSource::kFailed);
+    EXPECT_EQ(refused.dataset_fingerprint, fingerprint) << *dataset;
+    EXPECT_EQ(trace.nanos(TracePhase::kCacheLookup), 0) << *dataset;
+    EXPECT_EQ(trace.nanos(TracePhase::kPoolMine), 0) << *dataset;
+    EXPECT_EQ(trace.nanos(TracePhase::kFusion), 0) << *dataset;
+    EXPECT_EQ(trace.pool_nodes_expanded.load(), 0) << *dataset;
+    EXPECT_EQ(trace.arena_peak_bytes.load(), 0) << *dataset;
+  }
+  EXPECT_EQ(Scrape(service.metrics(), "colossal_result_cache_misses_total"),
+            0);
+  EXPECT_EQ(Scrape(service.metrics(), "colossal_arena_peak_bytes"), 0);
+}
+
 // Serves one request line through the dispatch path and returns the
 // flight record it left.
 FlightRecord DispatchAndRecord(MiningService& service,

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include "common/arena.h"
+#include "common/hash.h"
 #include "common/rng.h"
+#include "core/colossal_miner.h"
 #include "core/pattern_distance.h"
 #include "core/pattern_pool.h"
 #include "data/generators.h"
@@ -455,32 +457,35 @@ TEST(FusionPrimitivesDiffTest, BallQueryMatchesReferenceAtDiagBoundary) {
             (std::vector<int64_t>{0, 1}));
 }
 
-// --- RunPatternFusion ------------------------------------------------------
+// --- FuseColossalFromPool --------------------------------------------------
+// Every option check is pinned by CanonicalizeMinerOptions's test
+// (colossal_miner_test); ValidatesOptions shows the loop runs the same
+// checks for a caller's own pool.
 
 TEST(PatternFusionTest, ValidatesOptions) {
   TransactionDatabase db = MakePaperFigure3();
-  std::vector<Pattern> pool = {MakePattern(db, Itemset({0}))};
-  PatternFusionOptions options;
-  options.min_support_count = 0;
-  EXPECT_FALSE(RunPatternFusion(db, pool, options).ok());
+  const std::vector<Pattern> pool = {MakePattern(db, Itemset({0}))};
+  ColossalMinerOptions options;
   options.min_support_count = 100;
+  ASSERT_TRUE(FuseColossalFromPool(db.num_transactions(), pool, options).ok());
+  EXPECT_FALSE(FuseColossalFromPool(db.num_transactions(), {}, options).ok());
   options.tau = 0.0;
-  EXPECT_FALSE(RunPatternFusion(db, pool, options).ok());
-  options.tau = 1.5;
-  EXPECT_FALSE(RunPatternFusion(db, pool, options).ok());
+  StatusOr<ColossalMiningResult> result =
+      FuseColossalFromPool(db.num_transactions(), pool, options);
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   options.tau = 0.5;
-  options.k = 0;
-  EXPECT_FALSE(RunPatternFusion(db, pool, options).ok());
-  options.k = 10;
-  EXPECT_FALSE(RunPatternFusion(db, {}, options).ok());
+  options.num_threads = -1;
+  EXPECT_FALSE(FuseColossalFromPool(db.num_transactions(), pool, options).ok());
 }
 
 TEST(PatternFusionTest, RejectsInfrequentPoolPatterns) {
   TransactionDatabase db = MakePaperFigure3();
   std::vector<Pattern> pool = {MakePattern(db, Itemset({0, 1, 2, 3, 4}))};
-  PatternFusionOptions options;
+  ColossalMinerOptions options;
   options.min_support_count = 200;  // abcef has support 100
-  StatusOr<PatternFusionResult> result = RunPatternFusion(db, pool, options);
+  StatusOr<ColossalMiningResult> result =
+      FuseColossalFromPool(db.num_transactions(), pool, options);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
@@ -492,9 +497,10 @@ TEST(PatternFusionTest, RejectsSupportDisagreeingWithSupportSet) {
   std::vector<Pattern> pool = {MakePattern(db, Itemset({0})),
                                MakePattern(db, Itemset({1}))};
   pool[1].support += 1;
-  PatternFusionOptions options;
+  ColossalMinerOptions options;
   options.min_support_count = 100;
-  StatusOr<PatternFusionResult> result = RunPatternFusion(db, pool, options);
+  StatusOr<ColossalMiningResult> result =
+      FuseColossalFromPool(db.num_transactions(), pool, options);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
@@ -503,13 +509,14 @@ TEST(PatternFusionTest, SmallPoolReturnsImmediately) {
   TransactionDatabase db = MakePaperFigure3();
   std::vector<Pattern> pool = {MakePattern(db, Itemset({0})),
                                MakePattern(db, Itemset({1}))};
-  PatternFusionOptions options;
+  ColossalMinerOptions options;
   options.min_support_count = 100;
   options.k = 10;
-  StatusOr<PatternFusionResult> result = RunPatternFusion(db, pool, options);
+  StatusOr<ColossalMiningResult> result =
+      FuseColossalFromPool(db.num_transactions(), pool, options);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->converged);
-  EXPECT_TRUE(result->iterations.empty());
+  EXPECT_TRUE(result->iteration_stats.empty());
   EXPECT_EQ(result->patterns.size(), 2u);
 }
 
@@ -520,13 +527,13 @@ TEST(PatternFusionTest, RecoversAbcefFromFigure3) {
   // 5 frequent items + 10 frequent pairs.
   EXPECT_EQ(pool->size(), 15u);
 
-  PatternFusionOptions options;
+  ColossalMinerOptions options;
   options.min_support_count = 100;
   options.tau = 0.5;
   options.k = 5;
   options.seed = 11;
-  StatusOr<PatternFusionResult> result =
-      RunPatternFusion(db, *std::move(pool), options);
+  StatusOr<ColossalMiningResult> result =
+      FuseColossalFromPool(db.num_transactions(), *std::move(pool), options);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->converged);
   bool found_abcef = false;
@@ -548,13 +555,13 @@ TEST(PatternFusionTest, FindsColossalPatternInDiagPlus) {
   // colossal pairs = 40 + 780 + 39 + 741 = 1600.
   EXPECT_EQ(pool->size(), 1600u);
 
-  PatternFusionOptions options;
+  ColossalMinerOptions options;
   options.min_support_count = labeled.min_support_count;
   options.tau = 0.5;
   options.k = 100;
   options.seed = 7;
-  StatusOr<PatternFusionResult> result =
-      RunPatternFusion(labeled.db, *std::move(pool), options);
+  StatusOr<ColossalMiningResult> result = FuseColossalFromPool(
+      labeled.db.num_transactions(), *std::move(pool), options);
   ASSERT_TRUE(result.ok());
   bool found_colossal = false;
   for (const Pattern& pattern : result->patterns) {
@@ -572,13 +579,13 @@ TEST(PatternFusionTest, DiagFusionsReachExactlySupportBoundary) {
   TransactionDatabase db = MakeDiag(20);
   StatusOr<std::vector<Pattern>> pool = BuildInitialPool(db, 10, 2);
   ASSERT_TRUE(pool.ok());
-  PatternFusionOptions options;
+  ColossalMinerOptions options;
   options.min_support_count = 10;
   options.tau = 0.5;
   options.k = 20;
   options.seed = 13;
-  StatusOr<PatternFusionResult> result =
-      RunPatternFusion(db, *std::move(pool), options);
+  StatusOr<ColossalMiningResult> result =
+      FuseColossalFromPool(db.num_transactions(), *std::move(pool), options);
   ASSERT_TRUE(result.ok());
   ASSERT_FALSE(result->patterns.empty());
   for (const Pattern& pattern : result->patterns) {
@@ -594,15 +601,15 @@ TEST(PatternFusionTest, Lemma5MinSizeNeverDecreases) {
   StatusOr<std::vector<Pattern>> pool =
       BuildInitialPool(labeled.db, labeled.min_support_count, 1);
   ASSERT_TRUE(pool.ok());
-  PatternFusionOptions options;
+  ColossalMinerOptions options;
   options.min_support_count = labeled.min_support_count;
   options.k = 5;  // small K forces several iterations
   options.seed = 23;
-  StatusOr<PatternFusionResult> result =
-      RunPatternFusion(labeled.db, *std::move(pool), options);
+  StatusOr<ColossalMiningResult> result = FuseColossalFromPool(
+      labeled.db.num_transactions(), *std::move(pool), options);
   ASSERT_TRUE(result.ok());
   int previous = 1;
-  for (const FusionIterationStats& stats : result->iterations) {
+  for (const FusionIterationStats& stats : result->iteration_stats) {
     EXPECT_GE(stats.min_pattern_size, previous);
     previous = stats.min_pattern_size;
   }
@@ -615,14 +622,14 @@ TEST(PatternFusionTest, DeterministicForFixedSeed) {
   StatusOr<std::vector<Pattern>> pool_b =
       BuildInitialPool(labeled.db, labeled.min_support_count, 2);
   ASSERT_TRUE(pool_a.ok());
-  PatternFusionOptions options;
+  ColossalMinerOptions options;
   options.min_support_count = labeled.min_support_count;
   options.k = 30;
   options.seed = 99;
-  StatusOr<PatternFusionResult> a =
-      RunPatternFusion(labeled.db, *std::move(pool_a), options);
-  StatusOr<PatternFusionResult> b =
-      RunPatternFusion(labeled.db, *std::move(pool_b), options);
+  StatusOr<ColossalMiningResult> a = FuseColossalFromPool(
+      labeled.db.num_transactions(), *std::move(pool_a), options);
+  StatusOr<ColossalMiningResult> b = FuseColossalFromPool(
+      labeled.db.num_transactions(), *std::move(pool_b), options);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ASSERT_EQ(a->patterns.size(), b->patterns.size());
@@ -634,8 +641,8 @@ TEST(PatternFusionTest, DeterministicForFixedSeed) {
   options.seed = 100;
   StatusOr<std::vector<Pattern>> pool_c =
       BuildInitialPool(labeled.db, labeled.min_support_count, 2);
-  StatusOr<PatternFusionResult> c =
-      RunPatternFusion(labeled.db, *std::move(pool_c), options);
+  StatusOr<ColossalMiningResult> c = FuseColossalFromPool(
+      labeled.db.num_transactions(), *std::move(pool_c), options);
   ASSERT_TRUE(c.ok());
   bool any_difference = a->patterns.size() != c->patterns.size();
   if (!any_difference) {
@@ -654,18 +661,65 @@ TEST(PatternFusionTest, AllReturnedPatternsAreFrequentAndConsistent) {
   StatusOr<std::vector<Pattern>> pool =
       BuildInitialPool(labeled.db, labeled.min_support_count, 2);
   ASSERT_TRUE(pool.ok());
-  PatternFusionOptions options;
+  ColossalMinerOptions options;
   options.min_support_count = labeled.min_support_count;
   options.tau = 0.25;
   options.k = 40;
   options.seed = 3;
-  StatusOr<PatternFusionResult> result =
-      RunPatternFusion(labeled.db, *std::move(pool), options);
+  StatusOr<ColossalMiningResult> result = FuseColossalFromPool(
+      labeled.db.num_transactions(), *std::move(pool), options);
   ASSERT_TRUE(result.ok());
   for (const Pattern& pattern : result->patterns) {
     EXPECT_GE(pattern.support, labeled.min_support_count);
     EXPECT_EQ(pattern.support, labeled.db.Support(pattern.items));
     EXPECT_EQ(pattern.support_set.Count(), pattern.support);
+  }
+}
+
+// Saturating merges (variable_merge_depth = false) run only in
+// bench/ablation_fusion_depth, so this pins both of its columns on the
+// ablation's own inputs: the pattern count the table prints and an
+// FNV-1a digest of the whole answer (iteration count, convergence, then
+// every pattern's items, support and support set in answer order).
+// Without depth variety the answer collapses onto a few attractors.
+TEST(PatternFusionTest, MergeDepthAblationAnswersArePinned) {
+  const LabeledDatabase labeled = MakeProgramTraceLike(42);
+  StatusOr<std::vector<Pattern>> pool =
+      BuildInitialPool(labeled.db, labeled.min_support_count, 3);
+  ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+  const struct {
+    bool variable;
+    int k;
+    size_t patterns;
+    uint64_t digest;
+  } cases[] = {
+      {false, 50, 8, 0x9e550d606585f6c5ULL},
+      {false, 200, 10, 0x52b25dc8b7c846e1ULL},
+      {true, 50, 42, 0x266002db2ea23228ULL},
+      {true, 200, 134, 0x342f9d7b53dcef2bULL},
+  };
+  for (const auto& golden : cases) {
+    ColossalMinerOptions options;
+    options.min_support_count = labeled.min_support_count;
+    options.tau = 0.5;
+    options.k = golden.k;
+    options.seed = 5 + static_cast<uint64_t>(golden.k);
+    StatusOr<ColossalMiningResult> result = FuseColossalFromPool(
+        labeled.db.num_transactions(), *pool, options, /*arena=*/nullptr,
+        golden.variable);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    std::string rendered = "iterations=" + std::to_string(result->iterations) +
+                           " converged=" + std::to_string(result->converged) +
+                           "\n";
+    for (const Pattern& pattern : result->patterns) {
+      rendered += pattern.items.ToString() + ' ' +
+                  std::to_string(pattern.support) + ' ' +
+                  pattern.support_set.ToString() + '\n';
+    }
+    EXPECT_EQ(result->patterns.size(), golden.patterns)
+        << "variable=" << golden.variable << " k=" << golden.k;
+    EXPECT_EQ(HashBytes(rendered.data(), rendered.size()), golden.digest)
+        << "variable=" << golden.variable << " k=" << golden.k;
   }
 }
 

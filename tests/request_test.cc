@@ -152,6 +152,15 @@ TEST(ParseRequestLineTest, RejectsBadRequests) {
   EXPECT_FALSE(ParseRequestLine("--min-support 5").ok());       // no --in
   EXPECT_FALSE(ParseRequestLine("--in d.fimi").ok());           // no support
   EXPECT_FALSE(ParseRequestLine("--in d.fimi --sigma 2").ok());
+  // NaN passes every range check, so a non-finite value is refused as a
+  // number before any check reads it.
+  for (const char* value : {"--sigma nan", "--sigma -nan", "--tau nan",
+                            "--tau inf"}) {
+    StatusOr<MineRequest> request = ParseRequestLine(
+        std::string("--in d.fimi --min-support 5 ") + value);
+    ASSERT_FALSE(request.ok()) << value;
+    EXPECT_EQ(request.status().code(), StatusCode::kInvalidArgument) << value;
+  }
   EXPECT_FALSE(
       ParseRequestLine("--in d.fimi --min-support 5 --bogus 1").ok());
   EXPECT_FALSE(

@@ -590,6 +590,44 @@ TEST_F(ShardedMinerTest, FuseModeYieldsGloballyFrequentPatterns) {
   EXPECT_EQ(Render(*fused_threaded), Render(*fused));
 }
 
+// Options are validated before any shard loads: a negative thread count
+// is a Status, not the abort ResolveNumThreads raises on it.
+TEST_F(ShardedMinerTest, InvalidOptionsFailBeforeAnyShardLoads) {
+  StatusOr<ShardManifest> manifest =
+      ReadShardManifestFile((*manifest_paths_)[1]);
+  ASSERT_TRUE(manifest.ok());
+  auto loads = std::make_shared<std::atomic<int>>(0);
+  const ShardLoader disk = DiskLoader();
+  ShardLoader counting = [loads, disk](const std::string& path,
+                                       int64_t estimated_bytes) {
+    loads->fetch_add(1);
+    return disk(path, estimated_bytes);
+  };
+  ShardResidencyOptions budgeted;
+  budgeted.budget_bytes = int64_t{1} << 30;
+  for (const ShardResidencyOptions& residency :
+       {ShardResidencyOptions(), budgeted}) {
+    ShardedMiner miner(*manifest, counting, residency);
+    ColossalMinerOptions negative_threads = BaseOptions();
+    negative_threads.num_threads = -1;
+    ColossalMinerOptions negative_fan_out = BaseOptions();
+    negative_fan_out.shard_parallelism = -1;
+    ColossalMinerOptions zero_tau = BaseOptions();
+    zero_tau.tau = 0.0;
+    for (const ColossalMinerOptions& options :
+         {negative_threads, negative_fan_out, zero_tau}) {
+      for (ShardMergeMode mode : {ShardMergeMode::kExact,
+                                  ShardMergeMode::kFuse}) {
+        StatusOr<ColossalMiningResult> result = miner.Mine(options, mode);
+        ASSERT_FALSE(result.ok());
+        EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+            << result.status().ToString();
+      }
+    }
+  }
+  EXPECT_EQ(loads->load(), 0);
+}
+
 TEST_F(ShardedMinerTest, ShardFingerprintMismatchFailsWithStatus) {
   StatusOr<ShardManifest> manifest =
       ReadShardManifestFile((*manifest_paths_)[1]);
