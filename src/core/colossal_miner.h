@@ -199,6 +199,10 @@ struct ColossalMiningResult {
 // miner's expanded nodes (pool_nodes_expanded). The serving layer passes
 // its per-request trace, so a library caller gets the same phase split
 // the server reports. Output is byte-identical either way.
+//
+// Fails INVALID_ARGUMENT on bad options, and FAILED_PRECONDITION only
+// when no pattern is frequent (the sharded fuse mode reads that as a
+// shard contributing no core patterns).
 StatusOr<ColossalMiningResult> MineColossal(
     const TransactionDatabase& db, const ColossalMinerOptions& options,
     Arena* arena = nullptr, RequestTrace* trace = nullptr);

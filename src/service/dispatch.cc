@@ -9,8 +9,6 @@
 #include "common/bitvector_kernels.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
-#include "core/pattern.h"
-#include "mining/result_io.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
 
@@ -290,16 +288,10 @@ ServeOutcome DispatchServeLine(MiningService& service,
   }
   int64_t response_bytes = 0;
   if (outcome.response.status.ok()) {
-    // Serialize once, here, for both transports; the render is the one
-    // phase that runs after Mine flushed the trace, so it reports
-    // directly.
-    Stopwatch serialize_watch;
-    outcome.patterns_payload = RenderPatternsPayload(outcome.response);
+    // Mine rendered the payload (or served a cached rendering), so every
+    // transport ships the same bytes.
+    outcome.patterns_payload = *outcome.response.payload;
     outcome.patterns_rendered = true;
-    const int64_t serialize_nanos =
-        static_cast<int64_t>(serialize_watch.ElapsedSeconds() * 1e9);
-    service.RecordPhaseNanos(TracePhase::kSerialize, serialize_nanos);
-    trace.AddNanos(TracePhase::kSerialize, serialize_nanos);
     response_bytes = static_cast<int64_t>(outcome.patterns_payload.size());
   } else {
     // Capped once here, so every transport frames the same bounded
@@ -400,11 +392,6 @@ std::string FormatResponseHeader(const MiningResponse& response,
                   " id=%llu", static_cast<unsigned long long>(request_id));
   }
   return buffer;
-}
-
-std::string RenderPatternsPayload(const MiningResponse& response) {
-  if (!response.result) return "";
-  return PatternsToString(ToFrequentItemsets(response.result->patterns));
 }
 
 ServerReply FrameTcpReply(const ServeOutcome& outcome, bool send_patterns) {

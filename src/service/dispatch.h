@@ -49,12 +49,13 @@ struct ServeOutcome {
   // response payloads stay byte-identical). 0 for control words.
   uint64_t request_id = 0;
 
-  // For kResponse with an ok status: the FIMI payload, rendered (and
-  // timed as the serialize trace phase) by DispatchServeLine so both
-  // transports ship identical bytes without rendering twice.
-  // patterns_rendered distinguishes "rendered, possibly empty" from
-  // outcomes built outside DispatchServeLine (FrameTcpReply falls back
-  // to rendering for those).
+  // For kResponse with an ok status: the FIMI payload, copied by
+  // DispatchServeLine from the response's payload (rendered by the mine,
+  // or by a cached result's first hit, and timed there as the serialize
+  // trace phase), so every transport ships identical bytes.
+  // patterns_rendered distinguishes "set, possibly empty" from outcomes
+  // built outside DispatchServeLine (the framers fall back to rendering
+  // for those).
   std::string patterns_payload;
   bool patterns_rendered = false;
 };
@@ -89,9 +90,10 @@ Status WriteResponseFile(const std::string& dir, size_t index,
 // have a single error-rendering path; a failed status's message is
 // capped at 1 KiB plus a marker naming its original length, since it
 // can quote request text of any length. Every request line is traced
-// (parse, mining phases, and payload serialization land in the
-// service's per-phase latency histograms), minted a request id, and
-// recorded into the service's flight recorder — errors included.
+// (parse, mining phases, and the payload render when the request did
+// one land in the service's per-phase latency histograms), minted a
+// request id, and recorded into the service's flight recorder — errors
+// included.
 // `transport` names the front end for the flight record ("tcp",
 // "http", "stdin", "batch", ...).
 ServeOutcome DispatchServeLine(MiningService& service,
@@ -123,11 +125,6 @@ std::string FormatStatsLine(const MiningService& service);
 // dispatch path have no id).
 std::string FormatResponseHeader(const MiningResponse& response,
                                  uint64_t request_id = 0);
-
-// The FIMI-format pattern payload for a successful response ("" when the
-// result is null) — what batch mode's --out-dir writes for the request,
-// and what the CI net-smoke job compares a wire replay against.
-std::string RenderPatternsPayload(const MiningResponse& response);
 
 // --- Counted framing (TCP and the stdin daemon) -----------------------------
 //

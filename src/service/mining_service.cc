@@ -3,12 +3,15 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
+#include <new>
 #include <utility>
 
 #include "common/arena.h"
 #include "common/bitvector_kernels.h"
 #include "common/hash.h"
 #include "common/stopwatch.h"
+#include "core/pattern.h"
+#include "mining/result_io.h"
 
 namespace colossal {
 
@@ -55,7 +58,20 @@ ResultCacheOptions WithMetrics(ResultCacheOptions options,
   return options;
 }
 
+// Renders `response`'s result into its payload, timed as the request's
+// serialize phase.
+void RenderPayload(MiningResponse* response, RequestTrace* trace) {
+  PhaseTimer timer(trace, TracePhase::kSerialize);
+  response->payload =
+      std::make_shared<const std::string>(RenderPatternsPayload(*response));
+}
+
 }  // namespace
+
+std::string RenderPatternsPayload(const MiningResponse& response) {
+  if (!response.result) return "";
+  return PatternsToString(ToFrequentItemsets(response.result->patterns));
+}
 
 const char* ResponseSourceName(ResponseSource source) {
   switch (source) {
@@ -121,7 +137,8 @@ MiningService::MiningService(const MiningServiceOptions& options)
           "Seconds since this service was constructed")),
       request_seconds_(metrics_->GetHistogram(
           "colossal_request_seconds",
-          "End-to-end request latency (parse through mine)", 1e-9)),
+          "End-to-end request latency (parse through payload render)",
+          1e-9)),
       recorder_(options.flight_recorder_capacity),
       start_time_(std::chrono::steady_clock::now()),
       slow_log_tokens_(kSlowLogBurst),
@@ -396,6 +413,24 @@ StatusOr<ColossalMiningResult> MiningService::AdmitAndRunMine(
   return mined;
 }
 
+void MiningService::MineAndRender(const MineRequest& request,
+                                  const Prepared& prep, RequestTrace* trace,
+                                  MiningResponse* response) {
+  StatusOr<ColossalMiningResult> mined = AdmitAndRunMine(request, prep, trace);
+  response->status = mined.status();
+  if (!mined.ok()) return;
+  try {
+    response->result =
+        std::make_shared<const ColossalMiningResult>(*std::move(mined));
+    RenderPayload(response, trace);
+  } catch (const std::bad_alloc&) {
+    response->status = Status::Internal("out of memory rendering the result");
+    response->result = nullptr;
+    return;
+  }
+  response->source = ResponseSource::kMined;
+}
+
 MiningResponse MiningService::Execute(const MineRequest& request,
                                       const Prepared& prep,
                                       RequestTrace* trace) {
@@ -423,13 +458,14 @@ MiningResponse MiningService::Execute(const MineRequest& request,
   // A key collision with different canonical options (verified below)
   // mines standalone: correct result, just no dedup for that request.
   std::shared_ptr<const ColossalMiningResult> cached;
+  std::shared_ptr<const std::string> cached_payload;
   std::shared_ptr<Inflight> job;
   bool runner = false;
   bool standalone = false;
   PhaseTimer cache_timer(trace, TracePhase::kCacheLookup);
   {
     std::lock_guard<std::mutex> lock(inflight_mutex_);
-    cached = cache_.Get(prep.key, prep.canonical.options);
+    cached = cache_.Get(prep.key, prep.canonical.options, &cached_payload);
     if (cached == nullptr) {
       auto it = inflight_.find(prep.key);
       if (it == inflight_.end()) {
@@ -448,18 +484,21 @@ MiningResponse MiningService::Execute(const MineRequest& request,
   cache_timer.Stop();
   if (cached != nullptr) {
     response.result = std::move(cached);
+    response.payload = std::move(cached_payload);
     response.source = ResponseSource::kCache;
+    if (response.payload == nullptr) {
+      // The entry's first hit renders the payload and attaches it, so
+      // later hits serve it as is. A mine's own render is not cached:
+      // most mined results are never hit.
+      RenderPayload(&response, trace);
+      cache_.AttachPayload(prep.key, response.result, response.payload);
+    }
     response.seconds = stopwatch.ElapsedSeconds();
     return response;
   }
   if (standalone) {
-    StatusOr<ColossalMiningResult> mined =
-        AdmitAndRunMine(request, prep, trace);
-    response.status = mined.status();
-    if (mined.ok()) {
-      response.result =
-          std::make_shared<const ColossalMiningResult>(*std::move(mined));
-      response.source = ResponseSource::kMined;
+    MineAndRender(request, prep, trace, &response);
+    if (response.status.ok()) {
       cache_.Put(prep.key, prep.canonical.options, response.result);
     }
     response.seconds = stopwatch.ElapsedSeconds();
@@ -471,38 +510,30 @@ MiningResponse MiningService::Execute(const MineRequest& request,
     job->done_cv.wait(lock, [&] { return job->done; });
     response.status = job->status;
     response.result = job->result;
+    response.payload = job->payload;
     response.source =
         job->status.ok() ? ResponseSource::kCoalesced : ResponseSource::kFailed;
     response.seconds = stopwatch.ElapsedSeconds();
     return response;
   }
 
-  StatusOr<ColossalMiningResult> mined = AdmitAndRunMine(request, prep, trace);
-
-  std::shared_ptr<const ColossalMiningResult> result;
-  if (mined.ok()) {
-    result = std::make_shared<const ColossalMiningResult>(*std::move(mined));
-  }
+  MineAndRender(request, prep, trace, &response);
   {
     std::lock_guard<std::mutex> lock(job->mutex);
-    job->status = mined.status();
-    job->result = result;
+    job->status = response.status;
+    job->result = response.result;
+    job->payload = response.payload;
     job->done = true;
   }
   job->done_cv.notify_all();
-  if (mined.ok()) {
-    cache_.Put(prep.key, prep.canonical.options, result);
+  if (response.status.ok()) {
+    cache_.Put(prep.key, prep.canonical.options, response.result);
   }
   {
     std::lock_guard<std::mutex> lock(inflight_mutex_);
     inflight_.erase(prep.key);
     inflight_gauge_->Set(static_cast<int64_t>(inflight_.size()));
   }
-
-  response.status = mined.status();
-  response.result = std::move(result);
-  response.source =
-      mined.ok() ? ResponseSource::kMined : ResponseSource::kFailed;
   response.seconds = stopwatch.ElapsedSeconds();
   return response;
 }

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 
 #include "common/status.h"
@@ -74,6 +75,11 @@ struct MiningResponse {
   Status status;
   // The (shared, immutable) mining result; null when !status.ok().
   std::shared_ptr<const ColossalMiningResult> result;
+  // The result's FIMI payload, exactly RenderPatternsPayload's bytes; set
+  // whenever status.ok(). A mine renders it once and shares it with its
+  // coalesced waiters; a cache hit takes it from the cache entry, where
+  // the entry's first hit rendered and attached it.
+  std::shared_ptr<const std::string> payload;
 
   ResponseSource source = ResponseSource::kFailed;
   // True when the dataset came from the registry without a disk load.
@@ -82,9 +88,16 @@ struct MiningResponse {
   uint64_t options_hash = 0;
   // Shard count the request was mined over (0 = unsharded dataset).
   int shards = 0;
-  // End-to-end wall-clock for this request (registry + cache + mining).
+  // Wall-clock for this request inside Mine: registry, cache, mining and
+  // the payload render when this request rendered it.
   double seconds = 0.0;
 };
+
+// The FIMI-format pattern payload of a response's result ("" when the
+// result is null), rendered afresh: what MiningResponse::payload holds
+// for a successful response, what batch mode's --out-dir writes for the
+// request, and what the CI net-smoke job compares a wire replay against.
+std::string RenderPatternsPayload(const MiningResponse& response);
 
 // The mining front door: resolves datasets through a DatasetRegistry,
 // collapses equivalent requests onto one ResultCache entry, deduplicates
@@ -117,10 +130,12 @@ class MiningService {
   MiningService(const MiningService&) = delete;
   MiningService& operator=(const MiningService&) = delete;
 
-  // Serves one request synchronously. The traced overload accumulates
-  // per-phase wall time into `trace` as well as into the service's
-  // phase histograms (pass the dispatch-owned trace so the serialize
-  // phase, timed by the caller, lands on the same request).
+  // Serves one request synchronously, payload included. The traced
+  // overload accumulates per-phase wall time into `trace` as well as
+  // into the service's phase histograms (the dispatch path passes its
+  // own trace, so the grammar parse it timed lands on the same request).
+  // The serialize phase is recorded only by a request that rendered: a
+  // mine, or a cached result's first hit.
   MiningResponse Mine(const MineRequest& request);
   MiningResponse Mine(const MineRequest& request, RequestTrace* trace);
 
@@ -152,7 +167,7 @@ class MiningService {
   void NoteParseFailure();
 
   // Adds one sample to a phase histogram directly; used by the dispatch
-  // layer for the serialize phase, which runs after Mine returned.
+  // layer for the parse phase of a line that never reached Mine.
   void RecordPhaseNanos(TracePhase phase, int64_t nanos);
 
  private:
@@ -167,6 +182,7 @@ class MiningService {
     bool done = false;
     Status status;
     std::shared_ptr<const ColossalMiningResult> result;
+    std::shared_ptr<const std::string> payload;
   };
 
   // A request resolved to its cache identity but not yet mined: the
@@ -224,6 +240,14 @@ class MiningService {
   StatusOr<ColossalMiningResult> AdmitAndRunMine(const MineRequest& request,
                                                  const Prepared& prep,
                                                  RequestTrace* trace);
+
+  // AdmitAndRunMine, then the result shared and its payload rendered
+  // once (the serialize phase), all into the fresh `response`, whose
+  // source becomes kMined on success. Never throws: the runner
+  // publishes `response` to its coalesced waiters afterwards, so a
+  // failed allocation becomes an Internal status.
+  void MineAndRender(const MineRequest& request, const Prepared& prep,
+                     RequestTrace* trace, MiningResponse* response);
 
   // Bumps the per-source response counters + the end-to-end latency
   // histogram for one finished response; every Mine passes through

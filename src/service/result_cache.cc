@@ -19,10 +19,14 @@ ResultCache::ResultCache(const ResultCacheOptions& options)
                                    "Results evicted by the cache LRU");
   entries_gauge_ = metrics->GetGauge("colossal_result_cache_entries",
                                      "Results currently cached");
+  payload_bytes_gauge_ = metrics->GetGauge(
+      "colossal_result_cache_payload_bytes",
+      "Rendered payload bytes attached to cached results");
 }
 
 std::shared_ptr<const ColossalMiningResult> ResultCache::Get(
-    const ResultCacheKey& key, const ColossalMinerOptions& canonical) {
+    const ResultCacheKey& key, const ColossalMinerOptions& canonical,
+    std::shared_ptr<const std::string>* payload) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(key);
   if (it == entries_.end() || !(it->second.canonical == canonical)) {
@@ -31,6 +35,7 @@ std::shared_ptr<const ColossalMiningResult> ResultCache::Get(
   }
   lru_.splice(lru_.begin(), lru_, it->second.lru_position);
   hits_->Increment();
+  if (payload != nullptr) *payload = it->second.payload;
   return it->second.result;
 }
 
@@ -43,6 +48,7 @@ void ResultCache::Put(const ResultCacheKey& key,
   if (it != entries_.end()) {
     it->second.canonical = canonical;
     it->second.result = std::move(result);
+    DropPayload(it->second);
     lru_.splice(lru_.begin(), lru_, it->second.lru_position);
     return;
   }
@@ -53,11 +59,33 @@ void ResultCache::Put(const ResultCacheKey& key,
   entry.lru_position = lru_.begin();
   entries_.emplace(key, std::move(entry));
   while (static_cast<int64_t>(entries_.size()) > options_.max_entries) {
-    entries_.erase(lru_.back());
+    auto evicted = entries_.find(lru_.back());
+    DropPayload(evicted->second);
+    entries_.erase(evicted);
     lru_.pop_back();
     evictions_->Increment();
   }
   entries_gauge_->Set(static_cast<int64_t>(entries_.size()));
+}
+
+void ResultCache::AttachPayload(
+    const ResultCacheKey& key,
+    const std::shared_ptr<const ColossalMiningResult>& result,
+    std::shared_ptr<const std::string> payload) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = entries_.find(key);
+  if (it == entries_.end() || it->second.result != result ||
+      it->second.payload != nullptr) {
+    return;
+  }
+  payload_bytes_gauge_->Add(static_cast<int64_t>(payload->size()));
+  it->second.payload = std::move(payload);
+}
+
+void ResultCache::DropPayload(Entry& entry) {
+  if (entry.payload == nullptr) return;
+  payload_bytes_gauge_->Add(-static_cast<int64_t>(entry.payload->size()));
+  entry.payload = nullptr;
 }
 
 }  // namespace colossal

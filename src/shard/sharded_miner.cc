@@ -347,8 +347,14 @@ StatusOr<ColossalMiningResult> ShardedMiner::Mine(
       local.constraints.min_len = 0;
       StatusOr<ColossalMiningResult> mined =
           MineColossal(*shard->db, local, shard_arena.get());
-      if (!mined.ok()) return mined.status();
       RecordArenaPeak(residency_.trace, *shard_arena);
+      // A shard with no locally frequent pattern contributes no core
+      // patterns; the request fails only when no shard contributes any
+      // (below, naming the global threshold).
+      if (mined.status().code() == StatusCode::kFailedPrecondition) {
+        return mined_pool;
+      }
+      if (!mined.ok()) return mined.status();
       mined_pool.patterns = std::move(mined->patterns);
       std::sort(mined_pool.patterns.begin(), mined_pool.patterns.end(),
                 PoolOrderLess);

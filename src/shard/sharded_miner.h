@@ -47,7 +47,8 @@ namespace colossal {
 //     colossal patterns (with their local support sets, sorted into the
 //     same order) are treated as core patterns, their global supports
 //     are recovered by the same merge and re-count (dropping globally
-//     infrequent ones), and FuseColossalFromPool fuses the union. The
+//     infrequent ones), and FuseColossalFromPool fuses the union. A
+//     shard with no locally frequent pattern contributes none. The
 //     answer approximates the global colossal patterns without any
 //     single pass over an unsharded pool.
 //

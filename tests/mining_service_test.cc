@@ -373,8 +373,177 @@ TEST_F(MiningServiceTest, DisabledCacheMinesEveryTime) {
   options.cache.max_entries = 0;
   MiningService service(options);
   const MineRequest request = BasicRequest();
-  EXPECT_EQ(service.Mine(request).source, ResponseSource::kMined);
-  EXPECT_EQ(service.Mine(request).source, ResponseSource::kMined);
+  for (int i = 0; i < 3; ++i) {
+    const MiningResponse response = service.Mine(request);
+    EXPECT_EQ(response.source, ResponseSource::kMined);
+    ASSERT_NE(response.payload, nullptr);
+    EXPECT_EQ(*response.payload, RenderPatternsPayload(response));
+  }
+  // Every request rendered its own payload, and none is kept.
+  EXPECT_EQ(service.metrics()
+                .FindHistogram("colossal_phase_serialize_seconds")
+                ->TotalCount(),
+            3);
+  EXPECT_EQ(Scrape(service.metrics(), "colossal_result_cache_payload_bytes"),
+            0);
+}
+
+// A mine renders its payload but does not cache it; the result's first
+// hit renders and attaches it; every later hit serves that same string.
+// All of them are RenderPatternsPayload's bytes.
+TEST_F(MiningServiceTest, PayloadsAreTheReferenceRenderingFromEverySource) {
+  MiningService service;
+  const MineRequest request = BasicRequest();
+  const MiningResponse mined = service.Mine(request);
+  ASSERT_TRUE(mined.status.ok()) << mined.status.ToString();
+  EXPECT_EQ(mined.source, ResponseSource::kMined);
+  ASSERT_NE(mined.payload, nullptr);
+  const std::string expected = RenderPatternsPayload(mined);
+  EXPECT_FALSE(expected.empty());
+  EXPECT_EQ(*mined.payload, expected);
+  EXPECT_EQ(Scrape(service.metrics(), "colossal_result_cache_payload_bytes"),
+            0);
+
+  const MiningResponse first_hit = service.Mine(request);
+  EXPECT_EQ(first_hit.source, ResponseSource::kCache);
+  ASSERT_NE(first_hit.payload, nullptr);
+  EXPECT_EQ(*first_hit.payload, expected);
+  EXPECT_EQ(Scrape(service.metrics(), "colossal_result_cache_payload_bytes"),
+            static_cast<int64_t>(expected.size()));
+
+  const MiningResponse memo_hit = service.Mine(request);
+  EXPECT_EQ(memo_hit.source, ResponseSource::kCache);
+  EXPECT_EQ(memo_hit.payload.get(), first_hit.payload.get());
+  EXPECT_EQ(Scrape(service.metrics(), "colossal_result_cache_payload_bytes"),
+            static_cast<int64_t>(expected.size()));
+  EXPECT_EQ(service.metrics()
+                .FindHistogram("colossal_phase_serialize_seconds")
+                ->TotalCount(),
+            2);
+}
+
+// Waiters coalesced onto a mine share the runner's payload. Each round
+// starts the runner alone on a mine long enough to still be running
+// when three identical requests arrive. A request that arrives after
+// the mine finished is a cache hit instead; every response, whatever
+// its source, carries the reference bytes, and rounds repeat until one
+// request has coalesced.
+TEST_F(MiningServiceTest, CoalescedWaitersShareTheRunnersPayload) {
+  const std::string path = ::testing::TempDir() + "/service_test_slow.fimi";
+  ASSERT_TRUE(WriteFimiFile(MakeDiagPlus(40, 20).db, path).ok());
+  MineRequest request;
+  request.dataset_path = path;
+  request.options.sigma = -1.0;
+  request.options.min_support_count = 20;
+  request.options.initial_pool_max_size = 3;
+  request.options.k = 10;
+  MiningService service;
+  constexpr int kWaiters = 3;
+  int64_t coalesced = 0;
+  for (uint64_t round = 1; round <= 20 && coalesced == 0; ++round) {
+    request.options.seed = round;
+    std::vector<MiningResponse> responses(kWaiters + 1);
+    std::atomic<bool> runner_done{false};
+    std::thread runner([&] {
+      responses[0] = service.Mine(request);
+      runner_done = true;
+    });
+    while (service.metrics().GaugeValue("colossal_inflight_mines") == 0 &&
+           !runner_done) {
+      std::this_thread::yield();
+    }
+    std::vector<std::thread> waiters;
+    for (int i = 1; i <= kWaiters; ++i) {
+      waiters.emplace_back([&, i] {
+        responses[static_cast<size_t>(i)] = service.Mine(request);
+      });
+    }
+    runner.join();
+    for (std::thread& waiter : waiters) waiter.join();
+    for (const MiningResponse& response : responses) {
+      ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+      ASSERT_NE(response.payload, nullptr);
+      EXPECT_EQ(*response.payload, RenderPatternsPayload(response));
+      if (response.source == ResponseSource::kCoalesced) {
+        ++coalesced;
+        EXPECT_EQ(response.result.get(), responses[0].result.get());
+        EXPECT_EQ(response.payload.get(), responses[0].payload.get());
+      }
+    }
+  }
+  EXPECT_GT(coalesced, 0);
+}
+
+// Identical hits arriving together on a result nobody has hit yet all
+// render, serve identical bytes, and leave one payload attached.
+TEST_F(MiningServiceTest, ConcurrentFirstHitsAttachOnePayload) {
+  MiningService service;
+  const MineRequest request = BasicRequest();
+  const MiningResponse mined = service.Mine(request);
+  ASSERT_TRUE(mined.status.ok()) << mined.status.ToString();
+  const std::string expected = *mined.payload;
+
+  constexpr int kCallers = 8;
+  std::barrier start(kCallers);
+  std::vector<MiningResponse> hits(kCallers);
+  std::vector<std::thread> callers;
+  for (int i = 0; i < kCallers; ++i) {
+    callers.emplace_back([&, i] {
+      start.arrive_and_wait();
+      hits[static_cast<size_t>(i)] = service.Mine(request);
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (const MiningResponse& hit : hits) {
+    EXPECT_EQ(hit.source, ResponseSource::kCache);
+    ASSERT_NE(hit.payload, nullptr);
+    EXPECT_EQ(*hit.payload, expected);
+  }
+  EXPECT_EQ(Scrape(service.metrics(), "colossal_result_cache_payload_bytes"),
+            static_cast<int64_t>(expected.size()));
+  // The attached payload is one the first hits served.
+  const MiningResponse memo_hit = service.Mine(request);
+  EXPECT_TRUE(std::any_of(hits.begin(), hits.end(),
+                          [&](const MiningResponse& hit) {
+                            return hit.payload == memo_hit.payload;
+                          }));
+}
+
+// An entry evicted and mined again holds a new result; its first hit
+// renders afresh instead of reusing the payload of the evicted result.
+// Eviction and cold mines keep the payload gauge at what the cache
+// holds.
+TEST_F(MiningServiceTest, EvictedResultsTakeTheirPayloadsWithThem) {
+  MiningServiceOptions options;
+  options.cache.max_entries = 1;
+  MiningService service(options);
+  const MineRequest request = BasicRequest();
+  MineRequest other = BasicRequest();
+  other.options.seed = 99;
+
+  ASSERT_TRUE(service.Mine(request).status.ok());
+  const MiningResponse old_hit = service.Mine(request);
+  ASSERT_EQ(old_hit.source, ResponseSource::kCache);
+  const int64_t payload_bytes = static_cast<int64_t>(old_hit.payload->size());
+  EXPECT_EQ(Scrape(service.metrics(), "colossal_result_cache_payload_bytes"),
+            payload_bytes);
+
+  ASSERT_TRUE(service.Mine(other).status.ok());  // evicts `request`
+  EXPECT_EQ(Scrape(service.metrics(), "colossal_result_cache_payload_bytes"),
+            0);
+  const MiningResponse remined = service.Mine(request);  // evicts `other`
+  ASSERT_EQ(remined.source, ResponseSource::kMined);
+  EXPECT_NE(remined.result.get(), old_hit.result.get());
+  EXPECT_EQ(Scrape(service.metrics(), "colossal_result_cache_payload_bytes"),
+            0);
+
+  const MiningResponse new_hit = service.Mine(request);
+  ASSERT_EQ(new_hit.source, ResponseSource::kCache);
+  EXPECT_EQ(new_hit.result.get(), remined.result.get());
+  EXPECT_NE(new_hit.payload.get(), old_hit.payload.get());
+  EXPECT_EQ(*new_hit.payload, *old_hit.payload);
+  EXPECT_EQ(Scrape(service.metrics(), "colossal_result_cache_payload_bytes"),
+            payload_bytes);
 }
 
 TEST_F(MiningServiceTest, ConcurrentIdenticalRequestsMineOnce) {
@@ -752,6 +921,57 @@ TEST(ResultCacheTest, LruEvictionAndCollisionSafety) {
   // Same key, different canonical options (a simulated 64-bit hash
   // collision) must miss, not serve the wrong result.
   EXPECT_EQ(cache.Get(key_a, canonical_b), nullptr);
+}
+
+// A payload attaches only to the very result it renders, and only once;
+// eviction and a replacing Put drop it, and the gauge follows.
+TEST(ResultCacheTest, PayloadAttachesOnlyToItsOwnResult) {
+  MetricsRegistry metrics;
+  ResultCacheOptions options;
+  options.max_entries = 1;
+  options.metrics = &metrics;
+  ResultCache cache(options);
+  ColossalMinerOptions canonical;
+  canonical.min_support_count = 2;
+  const ResultCacheKey key{1, 10};
+  const ResultCacheKey other_key{1, 11};
+  auto old_result = std::make_shared<const ColossalMiningResult>();
+  auto new_result = std::make_shared<const ColossalMiningResult>();
+  auto old_payload = std::make_shared<const std::string>("old\n");
+  auto new_payload = std::make_shared<const std::string>("new!\n");
+
+  std::shared_ptr<const std::string> payload;
+  cache.Put(key, canonical, old_result);
+  ASSERT_EQ(cache.Get(key, canonical, &payload), old_result);
+  EXPECT_EQ(payload, nullptr);
+
+  // The entry is evicted and mined again before the first hit attaches
+  // what it rendered from the old result: nothing attaches.
+  cache.Put(other_key, canonical, old_result);
+  cache.Put(key, canonical, new_result);
+  cache.AttachPayload(key, old_result, old_payload);
+  ASSERT_EQ(cache.Get(key, canonical, &payload), new_result);
+  EXPECT_EQ(payload, nullptr);
+  EXPECT_EQ(Scrape(metrics, "colossal_result_cache_payload_bytes"), 0);
+
+  // The first attach for the held result wins; a second is ignored.
+  cache.AttachPayload(key, new_result, new_payload);
+  cache.AttachPayload(key, new_result, old_payload);
+  ASSERT_EQ(cache.Get(key, canonical, &payload), new_result);
+  EXPECT_EQ(payload, new_payload);
+  EXPECT_EQ(Scrape(metrics, "colossal_result_cache_payload_bytes"), 5);
+
+  // A Put that replaces the entry's result drops its payload.
+  cache.Put(key, canonical, old_result);
+  ASSERT_EQ(cache.Get(key, canonical, &payload), old_result);
+  EXPECT_EQ(payload, nullptr);
+  EXPECT_EQ(Scrape(metrics, "colossal_result_cache_payload_bytes"), 0);
+
+  // So does eviction.
+  cache.AttachPayload(key, old_result, old_payload);
+  EXPECT_EQ(Scrape(metrics, "colossal_result_cache_payload_bytes"), 4);
+  cache.Put(other_key, canonical, new_result);
+  EXPECT_EQ(Scrape(metrics, "colossal_result_cache_payload_bytes"), 0);
 }
 
 // --- Admission control -------------------------------------------------------

@@ -1,6 +1,7 @@
 #include "common/rng.h"
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -166,6 +167,65 @@ TEST(RngTest, SampleWithoutReplacementIsUnbiasedish) {
   for (int c : counts) {
     EXPECT_NEAR(static_cast<double>(c) / trials, 0.3, 0.02);
   }
+}
+
+// Today's draws, pinned. mt19937_64's sequence is fixed by the C++
+// standard, but the distributions behind UniformInt, UniformDouble and
+// Bernoulli are the standard library's own, and every mined answer,
+// golden digest and generated dataset rests on them. A library whose
+// algorithms differ fails here, by name, before any golden output does.
+TEST(RngTest, DrawsMatchThePinnedSequence) {
+  struct Range {
+    int64_t lo;
+    int64_t hi;
+    std::vector<int64_t> draws;
+  };
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const Range ranges[] = {
+      {0, 9, {7, 6, 7, 1, 9, 0}},
+      {-5, 9, {6, 4, 6, -3, 8, -4}},
+      {0, 1000000, {755156, 639032, 752145, 136272, 903269, 94068}},
+      // 2^63 + 1 values: the fourth draw follows a rejected one, so the
+      // rejection step is pinned too.
+      {-(int64_t{1} << 62),
+       int64_t{1} << 62,
+       {2353394407701672299, 1282338270324359508, 2325628993806482821,
+        687789657691918864, -1012072483992125776, -4497475113429590107}},
+      {0,
+       kMax,
+       {6965080426129060203, 5894024288751747412, 6937315012233870725,
+        1256893659602577831, 8331185726714219690, 867627036267489214}},
+      {kMin,
+       kMax,
+       {4706788815403344598, 2564676540648719016, 4651257987612965642,
+        -6709584717649620146, 7438999416573663573, -7488117964319797380}},
+  };
+  for (const Range& range : ranges) {
+    Rng rng(42);
+    for (size_t i = 0; i < range.draws.size(); ++i) {
+      EXPECT_EQ(rng.UniformInt(range.lo, range.hi), range.draws[i])
+          << "UniformInt(" << range.lo << ", " << range.hi << ") draw " << i;
+    }
+  }
+
+  Rng doubles(42);
+  for (double expected :
+       {0x1.82a3befaddcbcp-1, 0x1.472f1f73724ap-1, 0x1.81192cfe1cbcfp-1,
+        0x1.171621fc50d6ap-3, 0x1.ce79451c9a6c3p-1, 0x1.814dc629c7f4fp-4}) {
+    EXPECT_EQ(doubles.UniformDouble(), expected);
+  }
+
+  Rng coins(42);
+  std::vector<int> flips;
+  for (int i = 0; i < 16; ++i) flips.push_back(coins.Bernoulli(0.3) ? 1 : 0);
+  EXPECT_EQ(flips,
+            (std::vector<int>{0, 0, 0, 1, 0, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0}));
+
+  Rng shuffler(42);
+  std::vector<int> values = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  shuffler.Shuffle(values);
+  EXPECT_EQ(values, (std::vector<int>{3, 4, 1, 2, 9, 8, 0, 6, 5, 7}));
 }
 
 }  // namespace

@@ -94,29 +94,44 @@ TEST_F(ServeDispatchTest, MetricsWordRendersExposition) {
 TEST_F(ServeDispatchTest, RequestsPopulatePhaseHistograms) {
   ServeOutcome outcome = DispatchServeLine(service_, RequestLine());
   ASSERT_TRUE(outcome.response.status.ok());
-  // A second, cache-served request exercises the lookup phase twice.
+  // Two cache-served repeats: the first hit renders the payload and
+  // attaches it to the cache entry, the second serves that payload.
   DispatchServeLine(service_, RequestLine());
+  const ServeOutcome memo_hit = DispatchServeLine(service_, RequestLine());
+  ASSERT_TRUE(memo_hit.response.status.ok());
+  EXPECT_EQ(memo_hit.patterns_payload, outcome.patterns_payload);
 
   const MetricsRegistry& metrics = service_.metrics();
-  EXPECT_EQ(Scrape(metrics, "colossal_requests_total"), 2);
+  EXPECT_EQ(Scrape(metrics, "colossal_requests_total"), 3);
   EXPECT_EQ(Scrape(metrics, "colossal_responses_mined_total"), 1);
-  EXPECT_EQ(Scrape(metrics, "colossal_responses_cache_total"), 1);
+  EXPECT_EQ(Scrape(metrics, "colossal_responses_cache_total"), 2);
   // Every phase an unsharded mine passes through recorded at least one
   // sample (stitch is sharded-only).
   for (const char* name :
        {"colossal_phase_parse_seconds", "colossal_phase_cache_lookup_seconds",
         "colossal_phase_registry_seconds", "colossal_phase_pool_mine_seconds",
-        "colossal_phase_fusion_seconds", "colossal_request_seconds"}) {
+        "colossal_phase_fusion_seconds", "colossal_phase_serialize_seconds",
+        "colossal_request_seconds"}) {
     const Histogram* histogram = metrics.FindHistogram(name);
     ASSERT_NE(histogram, nullptr) << name;
     EXPECT_GT(histogram->TotalCount(), 0) << name;
   }
-  // Both requests went through parse and the cache lookup.
+  // All three requests went through parse and the cache lookup; only
+  // the mine and the first hit rendered.
   EXPECT_EQ(
-      metrics.FindHistogram("colossal_phase_parse_seconds")->TotalCount(), 2);
+      metrics.FindHistogram("colossal_phase_parse_seconds")->TotalCount(), 3);
   EXPECT_EQ(metrics.FindHistogram("colossal_phase_cache_lookup_seconds")
                 ->TotalCount(),
-            2);
+            3);
+  EXPECT_EQ(
+      metrics.FindHistogram("colossal_phase_serialize_seconds")->TotalCount(),
+      2);
+  FlightRecord record;
+  ASSERT_TRUE(service_.flight_recorder().Find(memo_hit.request_id, &record));
+  EXPECT_STREQ(record.source, "cache");
+  EXPECT_EQ(record.phase_nanos[static_cast<int>(TracePhase::kSerialize)], 0);
+  EXPECT_EQ(record.response_bytes,
+            static_cast<int64_t>(memo_hit.patterns_payload.size()));
 }
 
 TEST_F(ServeDispatchTest, ParseFailuresCountAsRequests) {

@@ -590,6 +590,65 @@ TEST_F(ShardedMinerTest, FuseModeYieldsGloballyFrequentPatterns) {
   EXPECT_EQ(Render(*fused_threaded), Render(*fused));
 }
 
+// Writes `fimi` as a 4-shard manifest under `name` and returns its path.
+std::string WriteFourShards(const std::string& fimi, const std::string& name) {
+  StatusOr<TransactionDatabase> db = ParseFimi(fimi);
+  EXPECT_TRUE(db.ok()) << db.status().ToString();
+  ShardPlanOptions options;
+  options.num_shards = 4;
+  StatusOr<std::vector<ShardRange>> plan = PlanShards(*db, options);
+  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+  StatusOr<ShardWriteResult> written =
+      WriteShardedSnapshots(*db, *plan, ::testing::TempDir(), name);
+  EXPECT_TRUE(written.ok()) << written.status().ToString();
+  return written.ok() ? written->manifest_path : "";
+}
+
+// Fifteen rows of {0, 1, 2}, then five rows of one unique item each, cut
+// into four 5-row shards: at global support 10 the last shard's local
+// threshold is 2, which no pattern of that shard reaches. Fuse mode
+// still answers, from the other three shards' core patterns, the
+// globally frequent {0, 1, 2} that exact mode answers.
+TEST_F(ShardedMinerTest, FuseModeSkipsAShardWithNoLocallyFrequentPattern) {
+  std::string fimi;
+  for (int i = 0; i < 15; ++i) fimi += "0 1 2\n";
+  for (int item = 10; item < 15; ++item) fimi += std::to_string(item) + "\n";
+  StatusOr<ShardManifest> manifest =
+      ReadShardManifestFile(WriteFourShards(fimi, "sharded_empty_last"));
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  ShardedMiner miner(*manifest, DiskLoader());
+  ColossalMinerOptions options;
+  options.sigma = -1.0;
+  options.min_support_count = 10;
+  options.initial_pool_max_size = 2;
+  options.k = 5;
+  for (ShardMergeMode mode : {ShardMergeMode::kExact, ShardMergeMode::kFuse}) {
+    for (int fan_out : {1, 4}) {
+      options.shard_parallelism = fan_out;
+      StatusOr<ColossalMiningResult> mined = miner.Mine(options, mode);
+      ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+      EXPECT_NE(Render(*mined).find("0 1 2 (15)\n"), std::string::npos)
+          << Render(*mined);
+    }
+  }
+
+  // When no shard contributes a pattern, the request fails naming the
+  // global threshold, not a shard-local one.
+  std::string sparse;
+  for (int item = 0; item < 20; ++item) sparse += std::to_string(item) + "\n";
+  StatusOr<ShardManifest> sparse_manifest =
+      ReadShardManifestFile(WriteFourShards(sparse, "sharded_all_empty"));
+  ASSERT_TRUE(sparse_manifest.ok()) << sparse_manifest.status().ToString();
+  options.min_support_count = 8;
+  options.shard_parallelism = 1;
+  StatusOr<ColossalMiningResult> none =
+      ShardedMiner(*sparse_manifest, DiskLoader())
+          .Mine(options, ShardMergeMode::kFuse);
+  EXPECT_EQ(none.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(none.status().message(),
+            "no frequent patterns at min_support_count 8");
+}
+
 // Options are validated before any shard loads: a negative thread count
 // is a Status, not the abort ResolveNumThreads raises on it.
 TEST_F(ShardedMinerTest, InvalidOptionsFailBeforeAnyShardLoads) {
